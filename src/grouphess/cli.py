@@ -28,11 +28,13 @@ import yaml
 
 from . import engine
 from .engine import EvaluationError, ParamVector, evaluate, gradient
+from .fd import fd_gradient, fd_hessian
 from .optimizers import (
     METHODS,
     SolverError,
     StepConfig,
     run,
+    shift_ladder,
     traces_to_csv,
     traces_to_json,
 )
@@ -276,12 +278,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     scfg = step_config(cfg)
 
     before = engine.counter.snapshot()
-    try:
-        result = run(f, theta0, cfg["method"], part, scfg)
-    except (SolverError, EvaluationError) as exc:
-        _write(out_dir / "manifest.json", _json({"config": cfg, "error": str(exc)}))
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = run(f, theta0, cfg["method"], part, scfg)
     passes = engine.counter.snapshot() - before
 
     hashes = {"trace_csv": _write(out_dir / "trace.csv", traces_to_csv(result.traces))}
@@ -298,44 +295,39 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 
     final_loss = evaluate(f, result.theta_final)
     final_grad = float(np.linalg.norm(gradient(f, result.theta_final)))
+    summary = {
+        "iterations": len(result.traces),
+        "termination": result.termination,
+        "final_loss": final_loss,
+        "final_grad_norm": final_grad,
+    }
+    if result.error is not None:
+        summary["error"] = result.error
     _write(out_dir / "manifest.json", _json({
         "config": cfg,
         "hashes": hashes,
         "pass_totals": {"forward": passes.forward, "backward": passes.backward,
                         "passes": passes.passes},
-        "result": {
-            "iterations": len(result.traces),
-            "termination": result.termination,
-            "final_loss": final_loss,
-            "final_grad_norm": final_grad,
-        },
+        "result": summary,
     }))
     print(f"{cfg['method']}: {len(result.traces)} steps, {result.termination}, "
           f"final loss {final_loss:.6g}, |g| {final_grad:.3g}")
-    return EXIT_RUNTIME if result.termination == "aborted-nonfinite" else EXIT_OK
+    if result.error is not None:
+        print(f"runtime abort: {result.error}", file=sys.stderr)
+    return EXIT_RUNTIME if result.termination.startswith("aborted") else EXIT_OK
 
 
 def _invert_with_ladder(hbar: np.ndarray, ladder) -> tuple[np.ndarray | None, dict]:
-    meta = {"pseudo_inverse": False, "ladder_eps": None}
-    try:
-        inv = np.linalg.inv(hbar)
-        if np.all(np.isfinite(inv)):
-            return inv, meta
-    except np.linalg.LinAlgError:
-        pass
-    for eps in ladder:
+    for eps, shifted in shift_ladder(hbar, ladder):
         try:
-            inv = np.linalg.inv(hbar + eps * np.eye(hbar.shape[0]))
+            inv = np.linalg.inv(shifted)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(inv)):
-            meta["ladder_eps"] = eps
-            return inv, meta
+            return inv, {"pseudo_inverse": False, "ladder_eps": eps}
     inv = np.linalg.pinv(hbar)
-    meta["pseudo_inverse"] = True
-    if np.all(np.isfinite(inv)):
-        return inv, meta
-    return None, meta
+    meta = {"pseudo_inverse": True, "ladder_eps": None}
+    return (inv if np.all(np.isfinite(inv)) else None), meta
 
 
 def _matrix_export(key: str, matrix: np.ndarray, gbar, labels,
@@ -377,6 +369,9 @@ def cmd_inspect(cfg: dict, out_dir: Path, at: str) -> int:
     theta, step_stamp = theta0, 0
     if at == "checkpoint":
         result = run(f, theta0, cfg["method"], part, scfg)
+        if result.error is not None:
+            print(f"runtime abort: {result.error}", file=sys.stderr)
+            return EXIT_RUNTIME
         theta, step_stamp = result.theta_final, len(result.traces)
 
     system = pseudo_hessian(f, theta, part)
@@ -442,27 +437,12 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 
     # gradient vs central finite differences
     g = gradient(f, theta0)
-    g_fd = np.zeros_like(theta)
-    h = 1e-5
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g_fd[i] = (evaluate(f, theta + e) - evaluate(f, theta - e)) / (2 * h)
+    g_fd = fd_gradient(f, theta)
     record("gradient-fd", np.max(np.abs(g - g_fd) / (1.0 + np.abs(g_fd))), tol["gradient-fd"])
 
     # pseudo-Hessian vs the finite-difference construction (small P only)
     if theta.size <= 8:
-        hs = 1e-4
-        h_fd = np.zeros((theta.size, theta.size))
-        for i in range(theta.size):
-            for j in range(i, theta.size):
-                ei = np.zeros_like(theta)
-                ej = np.zeros_like(theta)
-                ei[i] = hs
-                ej[j] = hs
-                v = (evaluate(f, theta + ei + ej) - evaluate(f, theta + ei - ej)
-                     - evaluate(f, theta - ei + ej) + evaluate(f, theta - ei - ej)) / (4 * hs * hs)
-                h_fd[i, j] = h_fd[j, i] = v
+        h_fd = fd_hessian(f, theta)
         ref = np.zeros((part.size, part.size))
         masks = []
         for s in range(part.size):

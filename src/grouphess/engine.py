@@ -198,10 +198,6 @@ def _as_expr(x) -> Expr:
     return const(x)
 
 
-def _shape_of(x: ArrayLike) -> tuple:
-    return np.asarray(x).shape
-
-
 # constructors --------------------------------------------------------------
 
 _var_registry: dict = {}

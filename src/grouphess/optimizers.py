@@ -22,14 +22,15 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import engine
-from .engine import Expr, ParamVector, PassCounts, evaluate, gradient, gradient_of_nested
+from .engine import (EvaluationError, Expr, ParamVector, PassCounts, evaluate, gradient,
+                     gradient_of_nested)
 from .partition import Partition, broadcast
 from .summaries import PseudoSystem, pseudo_hessian, regularization_vector
 
@@ -119,7 +120,8 @@ class StepTrace:
 class RunResult:
     traces: tuple[StepTrace, ...]
     theta_final: ParamVector
-    termination: str  # converged | max-iterations | aborted-nonfinite
+    termination: str  # converged | max-iterations | aborted-{nonfinite,solver,eval}
+    error: str | None = None  # the message behind aborted-solver / aborted-eval
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +142,19 @@ def _sym_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def shift_ladder(m: np.ndarray, ladder: Sequence[float]):
+    """Yield (None, m), then (eps, m + eps * I) for each ladder rung."""
+    yield None, m
+    eye = np.eye(m.shape[0])
+    for eps in ladder:
+        yield eps, m + eps * eye
+
+
 def _ladder_solve(m: np.ndarray, b: np.ndarray, cfg: StepConfig):
     """Solve m x = b, requiring descent (x . b > 0); climb the shift ladder
     on failure.  Returns (x, eps_used) or (None, None)."""
-    x = _sym_solve(m, b)
-    if x is not None and float(x @ b) > 0.0:
-        return x, None
-    eye = np.eye(m.shape[0])
-    for eps in cfg.ladder:
-        x = _sym_solve(m + eps * eye, b)
+    for eps, shifted in shift_ladder(m, cfg.ladder):
+        x = _sym_solve(shifted, b)
         if x is not None and float(x @ b) > 0.0:
             return x, eps
     return None, None
@@ -224,95 +230,40 @@ def _as_pv(theta) -> ParamVector:
     return ParamVector.flat(np.asarray(theta, dtype=np.float64))
 
 
-def _finish(iteration, loss_before, loss_after, grad_norm, eta, status, before, t0):
-    return StepTrace(
-        iteration=iteration,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        grad_norm=grad_norm,
-        eta=tuple(float(x) for x in np.atleast_1d(eta)),
-        status=status,
-        passes=engine.counter.snapshot() - before,
-        wall_time=time.perf_counter() - t0,
-    )
+# A rate rule maps (f, theta, g, cfg, part) to (displacement, eta, status):
+# the step moves theta to theta - displacement, or stays put when the
+# displacement is None.  ``g`` is the gradient at theta, computed by the caller.
 
 
-def partitioned_newton_step(f: Expr, theta, part: Partition,
-                            cfg: StepConfig | None = None,
-                            iteration: int = 0) -> tuple[ParamVector, StepTrace]:
-    """One partitioned second-order step:
-    theta' = theta - damping * (g * broadcast(eta)) with eta from the
-    group-level system at theta."""
-    cfg = cfg or StepConfig()
-    theta = _as_pv(theta)
-    t0 = time.perf_counter()
-    before = engine.counter.snapshot()
-
-    loss_before = evaluate(f, theta)
-    g = gradient(f, theta)
-    system = pseudo_hessian(f, theta, part)
+def _partitioned_rule(f, theta, g, cfg, part):
+    system = pseudo_hessian(f, theta, part, g)
     r = None
     if cfg.regularization_eps > 0.0:
         r = np.asarray(regularization_vector(
             f, theta, part, mode=cfg.reg_mode, samples=cfg.reg_samples))
     eta, status = solve_pseudo_system(system, cfg, r)
-
-    theta2 = theta.with_values(theta.values - cfg.damping * g * broadcast(eta, part))
-    loss_after = evaluate(f, theta2)
-    trace = _finish(iteration, loss_before, loss_after, float(np.linalg.norm(g)),
-                    eta, status, before, t0)
-    return theta2, trace
+    return cfg.damping * g * broadcast(eta, part), eta, status
 
 
-def cauchy_step(f: Expr, theta, cfg: StepConfig | None = None,
-                iteration: int = 0) -> tuple[ParamVector, StepTrace]:
-    """Steepest descent with the exact quadratic-model step size
-    g.g / g.H.g, the curvature obtained from a single Hessian-vector
-    product.  Non-positive curvature falls back to a fixed gradient step of
-    size ``damping``, flagged in the status."""
-    cfg = cfg or StepConfig()
-    theta = _as_pv(theta)
-    t0 = time.perf_counter()
-    before = engine.counter.snapshot()
-
-    loss_before = evaluate(f, theta)
-    g = gradient(f, theta)
+def _cauchy_rule(f, theta, g, cfg, part):
     gg = float(g @ g)
     if gg == 0.0:
-        return theta, _finish(iteration, loss_before, loss_before, 0.0,
-                              [0.0], "clean", before, t0)
+        return None, [0.0], "clean"
     ghg = float(g @ gradient_of_nested(f, theta, [g]))
     if ghg <= 0.0:
-        theta2 = theta.with_values(theta.values - cfg.damping * g)
-        step_size, status = cfg.damping, "gd-fallback"
-    else:
-        step_size, status = gg / ghg, "clean"
-        theta2 = theta.with_values(theta.values - step_size * g)
-    loss_after = evaluate(f, theta2)
-    return theta2, _finish(iteration, loss_before, loss_after, math.sqrt(gg),
-                           [step_size], status, before, t0)
+        return cfg.damping * g, [cfg.damping], "gd-fallback"
+    step_size = gg / ghg
+    return step_size * g, [step_size], "clean"
 
 
-def newton_step(f: Expr, theta, cfg: StepConfig | None = None,
-                iteration: int = 0) -> tuple[ParamVector, StepTrace]:
-    """Damped dense Newton step; the Hessian is assembled column by column
-    from P Hessian-vector products, so a budget guard keeps P small."""
-    cfg = cfg or StepConfig()
-    theta = _as_pv(theta)
+def _newton_rule(f, theta, g, cfg, part):
     p = theta.size
     if p > cfg.dense_budget:
         raise SolverError(
             f"dense Newton assembles the full Hessian; P={p} exceeds the "
             f"budget of {cfg.dense_budget}")
-    t0 = time.perf_counter()
-    before = engine.counter.snapshot()
-
-    loss_before = evaluate(f, theta)
-    g = gradient(f, theta)
-    gn = float(np.linalg.norm(g))
-    if gn == 0.0:
-        return theta, _finish(iteration, loss_before, loss_before, 0.0,
-                              [cfg.damping], "clean", before, t0)
+    if float(g @ g) == 0.0:
+        return None, [cfg.damping], "clean"
     h = np.empty((p, p))
     for j in range(p):
         e = np.zeros(p)
@@ -323,26 +274,72 @@ def newton_step(f: Expr, theta, cfg: StepConfig | None = None,
     if direction is None:
         raise SolverError("Newton system singular after the full ladder")
     status = "clean" if eps_used is None else f"regularized({eps_used:g})"
-    theta2 = theta.with_values(theta.values - cfg.damping * direction)
-    loss_after = evaluate(f, theta2)
-    return theta2, _finish(iteration, loss_before, loss_after, gn,
-                           [cfg.damping], status, before, t0)
+    return cfg.damping * direction, [cfg.damping], status
+
+
+def _gd_rule(f, theta, g, cfg, part):
+    return cfg.damping * g, [cfg.damping], "clean"
+
+
+_RULES = {"gd": _gd_rule, "cauchy": _cauchy_rule, "newton": _newton_rule,
+          "partitioned": _partitioned_rule}
+
+
+def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
+          iteration: int, t0: float, before: PassCounts) -> tuple[ParamVector, StepTrace]:
+    """The part every step shares: evaluate, apply the rule's displacement,
+    evaluate again, trace.  ``t0`` and ``before`` are the clock and the
+    counter snapshot taken before ``g`` was computed, so the trace is
+    charged for that gradient."""
+    loss_before = evaluate(f, theta)
+    displacement, eta, status = rule(f, theta, g, cfg, part)
+    if displacement is None:
+        theta2, loss_after = theta, loss_before
+    else:
+        theta2 = theta.with_values(theta.values - displacement)
+        loss_after = evaluate(f, theta2)
+    eta = tuple(float(x) for x in np.atleast_1d(eta))
+    return theta2, StepTrace(iteration, loss_before, loss_after, float(np.linalg.norm(g)), eta,
+                             status, engine.counter.snapshot() - before, time.perf_counter() - t0)
+
+
+def _fresh_step(rule, f, theta, part, cfg, iteration):
+    theta = _as_pv(theta)
+    t0, before = time.perf_counter(), engine.counter.snapshot()
+    g = gradient(f, theta)
+    return _step(rule, f, theta, g, part, cfg or StepConfig(), iteration, t0, before)
+
+
+def partitioned_newton_step(f: Expr, theta, part: Partition,
+                            cfg: StepConfig | None = None,
+                            iteration: int = 0) -> tuple[ParamVector, StepTrace]:
+    """One partitioned second-order step:
+    theta' = theta - damping * (g * broadcast(eta)) with eta from the
+    group-level system at theta.  Costs S + 1 passes: the gradient and S
+    Hessian-vector products."""
+    return _fresh_step(_partitioned_rule, f, theta, part, cfg, iteration)
+
+
+def cauchy_step(f: Expr, theta, cfg: StepConfig | None = None,
+                iteration: int = 0) -> tuple[ParamVector, StepTrace]:
+    """Steepest descent with the exact quadratic-model step size
+    g.g / g.H.g, the curvature obtained from a single Hessian-vector
+    product.  Non-positive curvature falls back to a fixed gradient step of
+    size ``damping``, flagged in the status."""
+    return _fresh_step(_cauchy_rule, f, theta, None, cfg, iteration)
+
+
+def newton_step(f: Expr, theta, cfg: StepConfig | None = None,
+                iteration: int = 0) -> tuple[ParamVector, StepTrace]:
+    """Damped dense Newton step; the Hessian is assembled column by column
+    from P Hessian-vector products, so a budget guard keeps P small."""
+    return _fresh_step(_newton_rule, f, theta, None, cfg, iteration)
 
 
 def gd_step(f: Expr, theta, cfg: StepConfig | None = None,
             iteration: int = 0) -> tuple[ParamVector, StepTrace]:
     """Plain gradient descent with step size ``damping``."""
-    cfg = cfg or StepConfig()
-    theta = _as_pv(theta)
-    t0 = time.perf_counter()
-    before = engine.counter.snapshot()
-
-    loss_before = evaluate(f, theta)
-    g = gradient(f, theta)
-    theta2 = theta.with_values(theta.values - cfg.damping * g)
-    loss_after = evaluate(f, theta2)
-    return theta2, _finish(iteration, loss_before, loss_after,
-                           float(np.linalg.norm(g)), [cfg.damping], "clean", before, t0)
+    return _fresh_step(_gd_rule, f, theta, None, cfg, iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -350,39 +347,37 @@ def gd_step(f: Expr, theta, cfg: StepConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _one_step(f, theta, method, part, cfg, iteration):
-    if method == "partitioned":
-        return partitioned_newton_step(f, theta, part, cfg, iteration)
-    if method == "cauchy":
-        return cauchy_step(f, theta, cfg, iteration)
-    if method == "newton":
-        return newton_step(f, theta, cfg, iteration)
-    return gd_step(f, theta, cfg, iteration)
-
-
 def run(f: Expr, theta0, method: str, part: Partition | None = None,
         cfg: StepConfig | None = None) -> RunResult:
     """Iterate one step rule until the gradient norm drops below the
-    configured tolerance, the iteration cap is reached, or the loss turns
-    non-finite (the trace then ends at the last good step)."""
+    configured tolerance or the iteration cap is reached.  Each iteration
+    computes one gradient, for the convergence test and the step alike.  A
+    non-finite loss or iterate, a failed solve or a failed evaluation ends
+    the run at the last good step, the latter two with ``RunResult.error``."""
     cfg = cfg or StepConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; valid methods: {', '.join(METHODS)}")
     if method == "partitioned" and part is None:
         raise ValueError("the partitioned method needs a partition")
+    rule = _RULES[method]
     theta = _as_pv(theta0)
 
     traces: list[StepTrace] = []
-    termination = "max-iterations"
+    termination, error = "max-iterations", None
     for it in range(cfg.max_iterations):
-        g = gradient(f, theta)
-        if float(np.linalg.norm(g)) <= cfg.grad_tolerance:
-            termination = "converged"
-            break
+        t0, before = time.perf_counter(), engine.counter.snapshot()
         try:
-            theta2, trace = _one_step(f, theta, method, part, cfg, it)
+            g = gradient(f, theta)
+            if float(np.linalg.norm(g)) <= cfg.grad_tolerance:
+                termination = "converged"
+                break
+            theta2, trace = _step(rule, f, theta, g, part, cfg, it, t0, before)
         except NonFiniteLossError:
             termination = "aborted-nonfinite"
+            break
+        except (SolverError, EvaluationError) as exc:
+            kind = "solver" if isinstance(exc, SolverError) else "eval"
+            termination, error = f"aborted-{kind}", str(exc)
             break
         if not np.all(np.isfinite(theta2.values)):
             termination = "aborted-nonfinite"
@@ -391,7 +386,7 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
             theta2, trace = _backtrack(f, theta, theta2, trace)
         traces.append(trace)
         theta = theta2
-    return RunResult(tuple(traces), theta, termination)
+    return RunResult(tuple(traces), theta, termination, error)
 
 
 def _backtrack(f, theta: ParamVector, theta2: ParamVector, trace: StepTrace,
@@ -429,18 +424,5 @@ def traces_to_csv(traces: Sequence[StepTrace]) -> str:
 
 
 def traces_to_json(traces: Sequence[StepTrace]) -> str:
-    rows = []
-    for t in traces:
-        rows.append({
-            "iteration": t.iteration,
-            "loss_before": t.loss_before,
-            "loss_after": t.loss_after,
-            "grad_norm": t.grad_norm,
-            "eta": list(t.eta),
-            "status": t.status,
-            "passes": {"forward": t.passes.forward,
-                       "backward": t.passes.backward,
-                       "passes": t.passes.passes},
-            "wall_time": t.wall_time,
-        })
-    return json.dumps(rows, indent=2, sort_keys=True)
+    """Every StepTrace field, pass counts and wall time included."""
+    return json.dumps([asdict(t) for t in traces], indent=2, sort_keys=True)

@@ -163,14 +163,16 @@ def pseudo_gradient(f: Expr, theta, part: Partition) -> np.ndarray:
     return group_sum(g * g, part)
 
 
-def pseudo_hessian(f: Expr, theta, part: Partition) -> PseudoSystem:
+def pseudo_hessian(f: Expr, theta, part: Partition, g: np.ndarray | None = None) -> PseudoSystem:
     """Group-level curvature of f at theta along masked gradient directions.
 
     hbar[s1, s2] = mask(g, s1)^T H mask(g, s2), assembled from S
     Hessian-vector products (one per group) without forming H; one extra
-    pass computes the gradient itself.  Exactly S + 1 passes total.
+    pass computes the gradient unless the caller passes it as ``g``.
+    Exactly S + 1 passes total, or S with ``g``.
     """
-    g = gradient(f, theta)
+    if g is None:
+        g = gradient(f, theta)
     s_count = part.size
     hbar = np.empty((s_count, s_count))
     for s in range(s_count):

@@ -1,7 +1,8 @@
-"""Finite-difference oracles, independent of the graph-based derivatives.
+"""Third-derivative finite-difference oracle for the tests; the gradient and
+Hessian oracles live in ``grouphess.fd``.
 
-Everything here consumes only ``engine.evaluate`` so the checks cannot share
-a code path with the quantities they verify.
+It consumes only ``engine.evaluate`` so the check cannot share a code path
+with the quantities it verifies.
 """
 
 from __future__ import annotations
@@ -9,35 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from grouphess import engine
-
-
-def fd_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g[i] = (engine.evaluate(f, theta + e) - engine.evaluate(f, theta - e)) / (2 * h)
-    return g
-
-
-def fd_hessian(f, theta: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central four-point Hessian from loss values only."""
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.size
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            v = (engine.evaluate(f, theta + ei + ej)
-                 - engine.evaluate(f, theta + ei - ej)
-                 - engine.evaluate(f, theta - ei + ej)
-                 + engine.evaluate(f, theta - ei - ej)) / (4 * h * h)
-            H[i, j] = H[j, i] = v
-    return H
 
 
 def fd_third_directional(f, theta: np.ndarray, u: np.ndarray, h: float = 1e-3) -> float:

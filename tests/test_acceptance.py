@@ -12,6 +12,7 @@ import yaml
 from grouphess import engine
 from grouphess.cli import main as cli_main
 from grouphess.engine import ParamVector, const, evaluate, gradient, reduce_sum, substitute, var
+from grouphess.fd import fd_hessian
 from grouphess.optimizers import (
     StepConfig,
     cauchy_step,
@@ -42,8 +43,6 @@ from grouphess.summaries import (
     summary_tensor,
     taylor_term,
 )
-
-from oracles import fd_hessian
 
 
 @contextmanager

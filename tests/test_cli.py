@@ -96,6 +96,30 @@ def test_seed_flag_changes_artifacts(tmp_path):
     assert a != b
 
 
+def test_runtime_abort_keeps_partial_trace(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        problem={"kind": "quadratic", "size": 6},
+        method="newton",
+        step={"dense_budget": 1},
+        out=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", str(path)]) == 3
+    assert "budget" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert (out / "trace.csv").read_text().splitlines() == ["iter,loss,grad_norm,status"]
+    assert json.loads((out / "trace.json").read_text()) == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["result"]["termination"] == "aborted-solver"
+    assert manifest["result"]["iterations"] == 0
+    assert "budget" in manifest["result"]["error"]
+    assert "trace_csv" in manifest["hashes"]
+    # inspect at a checkpoint needs the whole run, so the abort stops it
+    assert main(["inspect", "--config", str(path), "--at", "checkpoint",
+                 "--out", str(tmp_path / "ins")]) == 3
+    assert not (tmp_path / "ins" / "hbar.json").exists()
+
+
 def test_inspect_mlp_blocks(tmp_path):
     path = write_config(
         tmp_path,

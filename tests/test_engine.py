@@ -18,8 +18,7 @@ from grouphess.engine import (
     reduce_sum,
     var,
 )
-
-from oracles import fd_gradient
+from grouphess.fd import fd_gradient
 
 
 def quad_diag12():

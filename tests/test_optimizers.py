@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouphess import engine
-from grouphess.engine import ParamVector, const, dot, matmul, reduce_sum, substitute, var
+from grouphess.engine import ParamVector, const, dot, log, matmul, reduce_sum, substitute, var
 from grouphess.optimizers import (
     METHODS,
     SolverError,
@@ -18,7 +18,13 @@ from grouphess.optimizers import (
     traces_to_csv,
     traces_to_json,
 )
-from grouphess.partition import custom_partition, discrete_partition, trivial_partition
+from grouphess.partition import (
+    canonical_partition,
+    custom_partition,
+    discrete_partition,
+    trivial_partition,
+)
+from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
 from grouphess.summaries import PseudoSystem, pseudo_hessian
 
 
@@ -243,6 +249,41 @@ def test_run_aborts_on_nonfinite():
     assert np.all(np.isfinite(result.theta_final.values))
 
 
+def test_run_aborts_on_evaluation_error_keeping_the_trace():
+    # gd walks log(theta) downhill until it steps to a non-positive theta
+    f = reduce_sum(log(var("theta", (1,))))
+    result = run(f, ParamVector.flat([1.0]), "gd",
+                 cfg=StepConfig(damping=0.5, max_iterations=5, grad_tolerance=0.0))
+    assert result.termination == "aborted-eval"
+    assert "log" in result.error
+    assert len(result.traces) == 1
+    assert np.array_equal(result.theta_final.values, [0.5])
+
+
+def test_backtracking_halves_overshooting_steps():
+    # damping 1.5 overshoots along the curvature-2 axis: the loss rises
+    # without backtracking, and one halving per step restores descent
+    f = quadratic_expr(np.diag([1.0, 2.0]))
+    theta0 = ParamVector.flat([1.0, 1.0])
+    steps = 6
+
+    def cfg(backtracking):
+        return StepConfig(damping=1.5, max_iterations=steps, grad_tolerance=0.0,
+                          backtracking=backtracking)
+
+    plain = run(f, theta0, "gd", cfg=cfg(False))
+    assert all(tr.loss_after > tr.loss_before for tr in plain.traces)
+
+    result = run(f, theta0, "gd", cfg=cfg(True))
+    assert result.termination == "max-iterations"
+    assert len(result.traces) == steps
+    assert all(tr.loss_after <= tr.loss_before for tr in result.traces)
+    # the halved gd step scales the axes by 1 - 0.75 and 1 - 1.5 per step
+    assert np.allclose(result.theta_final.values, [0.25 ** steps, (-0.5) ** steps],
+                       rtol=1e-13, atol=0.0)
+    assert result.traces[-1].loss_after == engine.evaluate(f, result.theta_final)
+
+
 def make_rosenbrock_expr():
     t = var("theta", (2,))
     x = reduce_sum(engine.segment(t, 0, 1))
@@ -406,6 +447,41 @@ def test_clean_steps_descend_on_the_model():
         eta, status = solve_pseudo_system(system)
         if status == "clean":
             assert float(eta @ system.gbar) > 0.0
+
+
+# pass accounting ----------------------------------------------------------------
+
+def _moons_mlp():
+    spec = MlpSpec(widths=(2, 4, 2), seed=2)
+    f, theta0 = make_mlp(spec, synth_dataset("moons", 24, seed=0))
+    return f, theta0, canonical_partition(theta0.shapes, mlp_labels(spec.widths))
+
+
+def test_partitioned_step_costs_s_plus_one_passes():
+    f, theta0, part = _moons_mlp()
+    cfg = StepConfig(damping=0.3, max_iterations=4, grad_tolerance=0.0)
+    result = run(f, theta0, "partitioned", part, cfg)
+    assert len(result.traces) == 4
+    assert all(tr.passes.passes == part.size + 1 for tr in result.traces)
+
+    theta = theta0
+    for it in range(3):
+        before = engine.counter.snapshot()
+        theta, trace = partitioned_newton_step(f, theta, part, cfg, it)
+        assert trace.passes.passes == part.size + 1
+        assert trace.passes == engine.counter.snapshot() - before
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_traces_account_for_every_pass(method):
+    f, theta0, part = _moons_mlp()
+    before = engine.counter.snapshot()
+    result = run(f, theta0, method, part,
+                 StepConfig(damping=0.3, max_iterations=3, grad_tolerance=0.0))
+    used = engine.counter.snapshot() - before
+    assert result.termination == "max-iterations"
+    for field in ("forward", "backward", "passes"):
+        assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
 
 
 # serialization ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from grouphess import engine
 from grouphess.engine import ParamVector, evaluate, gradient
+from grouphess.fd import fd_gradient, fd_hessian
 from grouphess.partition import canonical_partition
 from grouphess.problems import (
     CsvSchema,
@@ -22,7 +23,7 @@ from grouphess.problems import (
 )
 from grouphess.summaries import taylor_term
 
-from oracles import fd_gradient, fd_hessian, fd_third_directional
+from oracles import fd_third_directional
 
 
 # quadratics ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grouphess import engine
 from grouphess.engine import const, dot, matmul, reduce_sum, var
+from grouphess.fd import fd_hessian
 from grouphess.partition import (
     custom_partition,
     discrete_partition,
@@ -24,8 +25,6 @@ from grouphess.summaries import (
     summary_tensor,
     taylor_term,
 )
-
-from oracles import fd_hessian
 
 
 def quadratic_expr(A, c=None):
