@@ -21,6 +21,14 @@ A process-wide :class:`PassCounter` tracks evaluation cost:
   (one gradient = one forward + one backward sweep);
 * ``passes``   - number of derivative-graph evaluations ("gradient-equivalent
   passes": one gradient, or one Hessian-vector product, each count once).
+
+Nodes whose value depends on nothing but ``theta`` (the forward sweep, the
+gradient, and the direction-free part of every Hessian-vector product graph)
+are evaluated once per point per thread: each thread keeps one point's
+values, compared by theta's bytes, until it evaluates at the next point.
+A step's loss, gradient and S Hessian-vector products at one theta share
+them.  The counter stays logical: every call counts as before, whether its
+values were computed or reused.
 """
 
 from __future__ import annotations
@@ -362,20 +370,31 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-_plan_cache: "weakref.WeakKeyDictionary[Expr, list]" = weakref.WeakKeyDictionary()
+_plan_cache: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _plan(root: Expr) -> list:
-    """Topological evaluation order (inputs before consumers), cached per root."""
-    plan = _plan_cache.get(root)
-    if plan is not None:
-        return plan
+def _planned(root: Expr) -> tuple[list, tuple]:
+    """Topological evaluation order (inputs before consumers) and, parallel
+    to it, whether each node is theta-only: a const, the theta leaf, or a
+    node whose inputs are all theta-only.  Cached per root."""
+    planned = _plan_cache.get(root)
+    if planned is not None:
+        return planned
     order: list[Expr] = []
+    free: set[int] = set()  # nodes that are not theta-only
     seen: set[int] = set()
     stack: list[tuple[Expr, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            if not node.inputs:
+                if node.op != "const" and node.payload != PARAM:
+                    free.add(node.nid)
+            elif free:
+                for child in node.inputs:
+                    if child.nid in free:
+                        free.add(node.nid)
+                        break
             order.append(node)
             continue
         if node.nid in seen:
@@ -385,8 +404,14 @@ def _plan(root: Expr) -> list:
         for child in node.inputs:
             if child.nid not in seen:
                 stack.append((child, False))
-    _plan_cache[root] = order
-    return order
+    fixed = tuple([node.nid not in free for node in order]) if free else (True,) * len(order)
+    planned = _plan_cache[root] = (order, fixed)
+    return planned
+
+
+def _plan(root: Expr) -> list:
+    """Topological evaluation order (inputs before consumers), cached per root."""
+    return _planned(root)[0]
 
 
 def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -450,11 +475,49 @@ def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndar
     raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
 
 
+# One point per thread: ((theta's shape, theta's bytes), read-only copy of
+# theta, {node id -> value of a theta-only node at that theta}).
+_point = threading.local()
+
+
+def _point_values(theta: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The read-only copy of ``theta`` and this thread's stored theta-only
+    values at it.  Points compare by bytes, so -0.0 and 0.0 differ; a new
+    point drops the old one's values before any new value is computed."""
+    key = (theta.shape, theta.tobytes())
+    entry = getattr(_point, "entry", None)
+    if entry is not None and entry[0] == key:
+        return entry[1], entry[2]
+    _point.entry = None
+    frozen = theta.copy()
+    frozen.setflags(write=False)
+    values: dict = {}
+    _point.entry = (key, frozen, values)
+    return frozen, values
+
+
 def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Evaluate ``root``, reusing and storing theta-only values at env's
+    theta; every other value lives for this pass only.  A pass looks up only
+    its own plan's nodes, so its cost does not grow with the values other
+    graphs stored at the same point.  The result may be a stored array, so
+    public callers hand out copies."""
+    order, fixed = _planned(root)
+    kept: dict[int, np.ndarray] = {}
+    if PARAM in env:
+        frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64))
+        env = {**env, PARAM: frozen}
     vals: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        for node in _plan(root):
-            vals[node.nid] = _eval_node(node, vals, env)
+        for node, is_fixed in zip(order, fixed):
+            nid = node.nid
+            if is_fixed:
+                value = kept.get(nid)
+                if value is None:
+                    value = kept[nid] = _eval_node(node, vals, env)
+                vals[nid] = value
+            else:
+                vals[nid] = _eval_node(node, vals, env)
     return vals[root.nid]
 
 
@@ -471,7 +534,7 @@ def evaluate(f: Expr, theta) -> float:
     or an explicit name->array environment)."""
     counter.add(forward=1)
     out = _run(f, _as_env(theta))
-    return float(out) if out.shape == () else out
+    return float(out) if out.shape == () else out.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +683,7 @@ def gradient(f: Expr, theta) -> np.ndarray:
     p = np.asarray(env[PARAM]).shape
     g = gradient_expr(f, PARAM, shape=p)
     counter.add(forward=1, backward=1, passes=1)
-    return np.atleast_1d(_run(g, env))
+    return np.array(_run(g, env), ndmin=1)
 
 
 def directional_derivative(f: Expr, theta, u: ArrayLike) -> Expr:
@@ -692,7 +755,7 @@ def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
     expr = _chain(f, len(dirs), pshape)
     g = gradient_expr(expr, PARAM, shape=pshape)
     counter.add(forward=1, backward=len(dirs) + 1, passes=1)
-    return np.atleast_1d(_run(g, env))
+    return np.array(_run(g, env), ndmin=1)
 
 
 # ---------------------------------------------------------------------------

@@ -286,12 +286,14 @@ _RULES = {"gd": _gd_rule, "cauchy": _cauchy_rule, "newton": _newton_rule,
 
 
 def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
-          iteration: int, t0: float, before: PassCounts) -> tuple[ParamVector, StepTrace]:
-    """The part every step shares: evaluate, apply the rule's displacement,
-    evaluate again, trace.  ``t0`` and ``before`` are the clock and the
-    counter snapshot taken before ``g`` was computed, so the trace is
-    charged for that gradient."""
-    loss_before = evaluate(f, theta)
+          iteration: int, t0: float, before: PassCounts,
+          loss_before: float | None = None) -> tuple[ParamVector, StepTrace]:
+    """The part every step shares: evaluate (unless the caller already has
+    the loss at theta), apply the rule's displacement, evaluate again, trace.
+    ``t0`` and ``before`` are the clock and the counter snapshot taken
+    before ``g`` was computed, so the trace is charged for that gradient."""
+    if loss_before is None:
+        loss_before = evaluate(f, theta)
     displacement, eta, status = rule(f, theta, g, cfg, part)
     if displacement is None:
         theta2, loss_after = theta, loss_before
@@ -351,9 +353,10 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
         cfg: StepConfig | None = None) -> RunResult:
     """Iterate one step rule until the gradient norm drops below the
     configured tolerance or the iteration cap is reached.  Each iteration
-    computes one gradient, for the convergence test and the step alike.  A
-    non-finite loss or iterate, a failed solve or a failed evaluation ends
-    the run at the last good step, the latter two with ``RunResult.error``."""
+    computes one gradient, for the convergence test and the step alike, and
+    starts from the loss the previous step ended with.  A non-finite loss or
+    iterate, a failed solve or a failed evaluation ends the run at the last
+    good step, the latter two with ``RunResult.error``."""
     cfg = cfg or StepConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; valid methods: {', '.join(METHODS)}")
@@ -364,6 +367,7 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
 
     traces: list[StepTrace] = []
     termination, error = "max-iterations", None
+    loss = None  # the loss at theta, once a step has evaluated it
     for it in range(cfg.max_iterations):
         t0, before = time.perf_counter(), engine.counter.snapshot()
         try:
@@ -371,7 +375,7 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
             if float(np.linalg.norm(g)) <= cfg.grad_tolerance:
                 termination = "converged"
                 break
-            theta2, trace = _step(rule, f, theta, g, part, cfg, it, t0, before)
+            theta2, trace = _step(rule, f, theta, g, part, cfg, it, t0, before, loss)
         except NonFiniteLossError:
             termination = "aborted-nonfinite"
             break
@@ -383,25 +387,29 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
             termination = "aborted-nonfinite"
             break
         if cfg.backtracking and trace.loss_after > trace.loss_before:
-            theta2, trace = _backtrack(f, theta, theta2, trace)
+            theta2, loss_after = _backtrack(f, theta, theta2, trace.loss_before)
+            trace = replace(trace, loss_after=loss_after,
+                            passes=engine.counter.snapshot() - before,
+                            wall_time=time.perf_counter() - t0)
         traces.append(trace)
-        theta = theta2
+        theta, loss = theta2, trace.loss_after
     return RunResult(tuple(traces), theta, termination, error)
 
 
-def _backtrack(f, theta: ParamVector, theta2: ParamVector, trace: StepTrace,
-               max_halvings: int = 30):
+def _backtrack(f, theta: ParamVector, theta2: ParamVector, loss_before: float,
+               max_halvings: int = 30) -> tuple[ParamVector, float]:
     """Halve the displacement until the loss decreases (plumbing behind the
-    ``backtracking`` flag; off by default)."""
+    ``backtracking`` flag; off by default).  Returns the accepted point and
+    its loss."""
     delta = theta2.values - theta.values
     scale = 1.0
     for _ in range(max_halvings):
         scale *= 0.5
         cand = theta.with_values(theta.values + scale * delta)
         loss = evaluate(f, cand)
-        if math.isfinite(loss) and loss <= trace.loss_before:
-            return cand, replace(trace, loss_after=loss)
-    return theta, replace(trace, loss_after=trace.loss_before)
+        if math.isfinite(loss) and loss <= loss_before:
+            return cand, loss
+    return theta, loss_before
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,11 +251,23 @@ def test_concurrent_evaluations_schedule_independent():
     f = reduce_sum(engine.tanh(t) * engine.softplus(0.5 * t)) + dot(t, t)
     rng = np.random.default_rng(19)
     points = [rng.normal(size=10) for _ in range(16)]
-    serial = [gradient(f, x) for x in points]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda x: gradient(f, x), points))
+    dirs = [rng.normal(size=10) for _ in range(16)]
+
+    # each thread keeps its own point's theta-only values between passes
+    def work(x, u):
+        return gradient(f, x), gradient_of_nested(f, x, [u]), gradient(f, x)
+
+    serial = [work(x, u) for x, u in zip(points, dirs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(work, points, dirs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a, b)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
 
 def test_param_vector_structure():

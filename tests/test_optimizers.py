@@ -274,7 +274,12 @@ def test_backtracking_halves_overshooting_steps():
     plain = run(f, theta0, "gd", cfg=cfg(False))
     assert all(tr.loss_after > tr.loss_before for tr in plain.traces)
 
+    before = engine.counter.snapshot()
     result = run(f, theta0, "gd", cfg=cfg(True))
+    used = engine.counter.snapshot() - before
+    # the halvings' forwards are charged to the steps that made them
+    for field in ("forward", "backward", "passes"):
+        assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
     assert result.termination == "max-iterations"
     assert len(result.traces) == steps
     assert all(tr.loss_after <= tr.loss_before for tr in result.traces)
@@ -482,6 +487,23 @@ def test_run_traces_account_for_every_pass(method):
     assert result.termination == "max-iterations"
     for field in ("forward", "backward", "passes"):
         assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
+
+
+def test_run_carries_the_loss_across_iterations():
+    spec = MlpSpec(widths=(2, 8, 8, 8, 2), seed=2)
+    f, theta0 = make_mlp(spec, synth_dataset("moons", 100, seed=0))
+    part = canonical_partition(theta0.shapes, mlp_labels(spec.widths))
+    before = engine.counter.snapshot()
+    result = run(f, theta0, "partitioned", part,
+                 StepConfig(damping=0.3, max_iterations=30, grad_tolerance=0.0))
+    assert len(result.traces) == 30
+    traces = result.traces
+    assert all(a.loss_after == b.loss_before for a, b in zip(traces, traces[1:]))
+    # gradient, loss before, S HVPs, loss after; later steps start from the
+    # loss the previous step ended with
+    assert traces[0].passes.forward == part.size + 3
+    assert all(tr.passes.forward == part.size + 2 for tr in traces[1:])
+    assert (engine.counter.snapshot() - before).forward == 301
 
 
 # serialization ------------------------------------------------------------------
