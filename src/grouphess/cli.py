@@ -307,7 +307,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         "config": cfg,
         "hashes": hashes,
         "pass_totals": {"forward": passes.forward, "backward": passes.backward,
-                        "passes": passes.passes},
+                        "passes": passes.passes, "sweeps": passes.sweeps},
         "result": summary,
     }))
     print(f"{cfg['method']}: {len(result.traces)} steps, {result.termination}, "

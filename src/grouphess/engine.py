@@ -20,20 +20,34 @@ A process-wide :class:`PassCounter` tracks evaluation cost:
 * ``backward`` - total differentiation depth of evaluated derivative graphs
   (one gradient = one forward + one backward sweep);
 * ``passes``   - number of derivative-graph evaluations ("gradient-equivalent
-  passes": one gradient, or one Hessian-vector product, each count once).
+  passes": one gradient, or one Hessian-vector product, each count once);
+* ``sweeps``   - number of derivative-graph evaluations actually run: a
+  stack of B directions counts B passes but may run as fewer sweeps.
 
 Nodes whose value depends on nothing but ``theta`` (the forward sweep, the
 gradient, and the direction-free part of every Hessian-vector product graph)
 are evaluated once per point per thread: each thread keeps one point's
 values, compared by theta's bytes, until it evaluates at the next point.
 A step's loss, gradient and S Hessian-vector products at one theta share
-them.  The counter stays logical: every call counts as before, whether its
-values were computed or reused.
+them.
+
+Every other value is freed as soon as its last consumer has run.
+:func:`gradient_of_nested` also takes its directions as (B, P) stacks and
+evaluates the direction-dependent nodes for many rows at once, each value
+carrying a leading stack axis; row b is bitwise equal to the call with the
+stacks' row b.  A stack is cut into sweeps whose width is read from the
+graph's static shapes: the number of direction-dependent elements of one
+row, divided by the most of them alive at once under last-use freeing.  So
+a sweep never holds more direction-dependent memory than one row would
+without freeing.  The counter's ``forward``, ``backward`` and ``passes``
+stay logical: every row counts as one call, whether its values were
+computed, reused or stacked; ``sweeps`` is the physical count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -98,12 +112,14 @@ class PassCounts:
     forward: int = 0
     backward: int = 0
     passes: int = 0
+    sweeps: int = 0
 
     def __sub__(self, other: "PassCounts") -> "PassCounts":
         return PassCounts(
             self.forward - other.forward,
             self.backward - other.backward,
             self.passes - other.passes,
+            self.sweeps - other.sweeps,
         )
 
 
@@ -115,20 +131,23 @@ class PassCounter:
         self._forward = 0
         self._backward = 0
         self._passes = 0
+        self._sweeps = 0
 
-    def add(self, forward: int = 0, backward: int = 0, passes: int = 0) -> None:
+    def add(self, forward: int = 0, backward: int = 0, passes: int = 0,
+            sweeps: int = 0) -> None:
         with self._lock:
             self._forward += forward
             self._backward += backward
             self._passes += passes
+            self._sweeps += sweeps
 
     def snapshot(self) -> PassCounts:
         with self._lock:
-            return PassCounts(self._forward, self._backward, self._passes)
+            return PassCounts(self._forward, self._backward, self._passes, self._sweeps)
 
     def reset(self) -> None:
         with self._lock:
-            self._forward = self._backward = self._passes = 0
+            self._forward = self._backward = self._passes = self._sweeps = 0
 
 
 counter = PassCounter()
@@ -370,18 +389,31 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-_plan_cache: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
+_plan_cache: "weakref.WeakKeyDictionary[Expr, _Plan]" = weakref.WeakKeyDictionary()
 
 
-def _planned(root: Expr) -> tuple[list, tuple]:
-    """Topological evaluation order (inputs before consumers) and, parallel
-    to it, whether each node is theta-only: a const, the theta leaf, or a
-    node whose inputs are all theta-only.  Cached per root."""
-    planned = _plan_cache.get(root)
-    if planned is not None:
-        return planned
+class _Plan:
+    """How to evaluate one root: the topological order (inputs before
+    consumers); parallel to it, whether each node is theta-only (a const,
+    the theta leaf, or a node whose inputs are all theta-only); and for each
+    node that is not, the id of its last consumer in the order (None for the
+    root).  ``frees`` and ``width`` are derived from these by
+    :func:`_lifetimes` when a root with such nodes is first evaluated."""
+
+    __slots__ = ("order", "fixed", "last", "frees", "width")
+
+    def __init__(self, order: list, fixed: tuple, last: dict) -> None:
+        self.order, self.fixed, self.last = order, fixed, last
+        self.frees = self.width = None
+
+
+def _planned(root: Expr) -> _Plan:
+    """The plan of ``root``, built in one walk and cached per root."""
+    plan = _plan_cache.get(root)
+    if plan is not None:
+        return plan
     order: list[Expr] = []
-    free: set[int] = set()  # nodes that are not theta-only
+    last: dict[int, int | None] = {}  # node that is not theta-only -> last consumer
     seen: set[int] = set()
     stack: list[tuple[Expr, bool]] = [(root, False)]
     while stack:
@@ -389,12 +421,12 @@ def _planned(root: Expr) -> tuple[list, tuple]:
         if expanded:
             if not node.inputs:
                 if node.op != "const" and node.payload != PARAM:
-                    free.add(node.nid)
-            elif free:
+                    last[node.nid] = None
+            elif last:
                 for child in node.inputs:
-                    if child.nid in free:
-                        free.add(node.nid)
-                        break
+                    if child.nid in last:
+                        last[child.nid] = node.nid
+                        last[node.nid] = None
             order.append(node)
             continue
         if node.nid in seen:
@@ -404,14 +436,42 @@ def _planned(root: Expr) -> tuple[list, tuple]:
         for child in node.inputs:
             if child.nid not in seen:
                 stack.append((child, False))
-    fixed = tuple([node.nid not in free for node in order]) if free else (True,) * len(order)
-    planned = _plan_cache[root] = (order, fixed)
-    return planned
+    fixed = tuple([node.nid not in last for node in order]) if last else (True,) * len(order)
+    plan = _plan_cache[root] = _Plan(order, fixed, last)
+    return plan
+
+
+def _lifetimes(plan: _Plan) -> tuple[dict, int]:
+    """``frees``: consumer id -> ids of the values that die once it has run.
+    ``width``: the sweep width, ``held // peak`` rows (at least 1), where
+    ``held`` is the element count of one row's values that are not
+    theta-only and ``peak`` the most of them alive at once under last-use
+    freeing, both read from static shapes.  Computed once per plan."""
+    if plan.frees is None:
+        frees: dict[int, list] = {}
+        for nid, consumer in plan.last.items():
+            if consumer is not None:
+                frees.setdefault(consumer, []).append(nid)
+        size: dict[int, int] = {}
+        held = alive = peak = 0
+        for node, is_fixed in zip(plan.order, plan.fixed):
+            if is_fixed:
+                continue
+            n = size[node.nid] = math.prod(node.shape)
+            held += n
+            alive += n
+            if alive > peak:
+                peak = alive
+            for dead in frees.get(node.nid, ()):
+                alive -= size[dead]
+        plan.width = max(1, held // peak) if peak else 1
+        plan.frees = frees
+    return plan.frees, plan.width
 
 
 def _plan(root: Expr) -> list:
     """Topological evaluation order (inputs before consumers), cached per root."""
-    return _planned(root)[0]
+    return _planned(root).order
 
 
 def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -475,6 +535,65 @@ def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndar
     raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
 
 
+# ops that act on each element alone, so on a stacked value row by row
+_ROWWISE = frozenset({"neg", "exp", "log", "tanh", "softplus", "sigmoid", "power"})
+
+
+def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
+    """A broadcasting operand of static ``shape`` with its stack axis, if it
+    has one, in front of the result's ``ndim`` axes."""
+    if v.ndim == len(shape):
+        return v
+    return v.reshape(v.shape[:1] + (1,) * (ndim - len(shape)) + shape)
+
+
+def _eval_stacked(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``_eval_node`` for a node that is not theta-only, in a pass whose
+    direction leaves are (B, P) stacks.  A stacked value has one axis more
+    than the node's static shape, the stack axis in front.  Each row goes
+    through the same numpy kernel with the same memory layout as in a pass
+    with one direction, so every row is bitwise equal to that pass."""
+    op = node.op
+    if op == "add" or op == "mul":
+        x, y = node.inputs
+        a, b = vals[x.nid], vals[y.nid]
+        n = len(node.shape)
+        if len(x.shape) < n:
+            a = _lifted(a, x.shape, n)
+        if len(y.shape) < n:
+            b = _lifted(b, y.shape, n)
+        return a + b if op == "add" else a * b
+    if op == "matmul":
+        x, y = node.inputs
+        b = vals[y.nid]
+        if len(y.shape) == 1 and b.ndim == 2:  # matrix @ stacked vector
+            return (vals[x.nid] @ b[..., None])[..., 0]
+        return vals[x.nid] @ b
+    if op == "var":
+        v = env.get(node.payload)
+        return v if np.ndim(v) == len(node.shape) + 1 else _eval_node(node, vals, env)
+    x = node.inputs[0]
+    a = vals[x.nid]
+    if a.ndim == len(x.shape) or op in _ROWWISE:
+        return _eval_node(node, vals, env)
+    if op == "reshape":
+        return a.reshape(a.shape[:1] + node.payload)
+    if op == "segment":
+        start, stop = node.payload
+        return a[:, start:stop]
+    if op == "embed":
+        start, total = node.payload
+        out = np.zeros((a.shape[0], total))
+        out[:, start:start + a.shape[1]] = a
+        return out
+    if op == "transpose":
+        return a.swapaxes(-1, -2)
+    if op == "sum":
+        axis = node.payload
+        return np.sum(a, axis=tuple(range(1, a.ndim)) if axis is None else axis + 1)
+    raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
+
+
 # One point per thread: ((theta's shape, theta's bytes), read-only copy of
 # theta, {node id -> value of a theta-only node at that theta}).
 _point = threading.local()
@@ -496,20 +615,24 @@ def _point_values(theta: np.ndarray) -> tuple[np.ndarray, dict]:
     return frozen, values
 
 
-def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
+def _run(root: Expr, env: Mapping[str, np.ndarray], stacked: bool = False) -> np.ndarray:
     """Evaluate ``root``, reusing and storing theta-only values at env's
-    theta; every other value lives for this pass only.  A pass looks up only
-    its own plan's nodes, so its cost does not grow with the values other
-    graphs stored at the same point.  The result may be a stored array, so
-    public callers hand out copies."""
-    order, fixed = _planned(root)
+    theta; every other value lives until its last consumer has run.  A pass
+    looks up only its own plan's nodes, so its cost does not grow with the
+    values other graphs stored at the same point.  With ``stacked``, env's
+    direction leaves are (B, P) stacks and every node that is not
+    theta-only is evaluated by ``_eval_stacked``.  The result may be a
+    stored array, so public callers hand out copies."""
+    plan = _planned(root)
+    frees = _lifetimes(plan)[0] if plan.last else {}
+    step = _eval_stacked if stacked else _eval_node
     kept: dict[int, np.ndarray] = {}
     if PARAM in env:
         frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64))
         env = {**env, PARAM: frozen}
     vals: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        for node, is_fixed in zip(order, fixed):
+        for node, is_fixed in zip(plan.order, plan.fixed):
             nid = node.nid
             if is_fixed:
                 value = kept.get(nid)
@@ -517,7 +640,9 @@ def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
                     value = kept[nid] = _eval_node(node, vals, env)
                 vals[nid] = value
             else:
-                vals[nid] = _eval_node(node, vals, env)
+                vals[nid] = step(node, vals, env)
+                for dead in frees.get(nid, ()):
+                    del vals[dead]
     return vals[root.nid]
 
 
@@ -682,7 +807,7 @@ def gradient(f: Expr, theta) -> np.ndarray:
     env = _as_env(theta)
     p = np.asarray(env[PARAM]).shape
     g = gradient_expr(f, PARAM, shape=p)
-    counter.add(forward=1, backward=1, passes=1)
+    counter.add(forward=1, backward=1, passes=1, sweeps=1)
     return np.array(_run(g, env), ndmin=1)
 
 
@@ -723,15 +848,33 @@ def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     return cache[d] if d > 0 else f
 
 
-def _chain_env(theta, dirs: Sequence[ArrayLike]) -> dict:
-    env = dict(_as_env(theta))
-    p = np.asarray(env[PARAM]).shape
-    for k, u in enumerate(dirs, start=1):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != p:
-            raise EvaluationError(f"direction {k} has shape {u.shape}, parameters have {p}")
-        env[_dir_name(k)] = u
-    return env
+def _stacks(dirs: Sequence[ArrayLike], pshape: tuple) -> tuple[list, bool]:
+    """The directions as contiguous (B, P) stacks, and whether they were
+    given as single vectors (then B = 1)."""
+    stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
+    single = all(u.ndim == len(pshape) for u in stacks)
+    want = pshape if single else stacks[0].shape[:1] + pshape
+    for k, u in enumerate(stacks, start=1):
+        if u.shape != want:
+            raise EvaluationError(f"direction {k} has shape {u.shape}, expected {want}")
+    return ([u[None] for u in stacks] if single else stacks), single
+
+
+def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
+    """Evaluate ``expr`` with the direction leaves _u1.. bound to ``dirs``,
+    in sweeps of at most the plan's width rows.  Each row counts as one
+    logical pass of depth ``backward``, each sweep as one physical sweep."""
+    stacks, single = _stacks(dirs, np.asarray(env[PARAM]).shape)
+    rows = stacks[0].shape[0]
+    width = _lifetimes(_planned(expr))[1]
+    out = np.empty((rows,) + expr.shape)
+    for lo in range(0, rows, width):
+        for k, u in enumerate(stacks, start=1):
+            env[_dir_name(k)] = u[lo:lo + width]
+        n = min(width, rows - lo)
+        counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
+        out[lo:lo + n] = _run(expr, env, stacked=True)
+    return out[0] if single else out
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
@@ -740,22 +883,26 @@ def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
     d = len(dirs)
     if d == 0:
         return evaluate(f, theta)
-    env = _chain_env(theta, dirs)
-    expr = _chain(f, d, np.asarray(env[PARAM]).shape)
-    counter.add(forward=1, backward=d, passes=1)
-    return float(_run(expr, env))
+    env = dict(_as_env(theta))
+    return float(_sweeps(_chain(f, d, np.asarray(env[PARAM]).shape), env, dirs, d))
 
 
 def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
     """Gradient of the d-fold nested directional derivative: a full vector of
     (d+1)-th derivative contractions.  With ``dirs=[]`` this is the plain
-    gradient; with one direction it is a Hessian-vector product."""
-    env = _chain_env(theta, dirs)
+    gradient; with one direction it is a Hessian-vector product.
+
+    Directions may also be (B, P) stacks, all with the same B; the result is
+    then (B, P), and row b is bitwise equal to the call with each stack's
+    row b.  B rows count as B passes, run in as few sweeps as the graph's
+    width allows (see the module docstring)."""
+    env = dict(_as_env(theta))
     pshape = np.asarray(env[PARAM]).shape
-    expr = _chain(f, len(dirs), pshape)
-    g = gradient_expr(expr, PARAM, shape=pshape)
-    counter.add(forward=1, backward=len(dirs) + 1, passes=1)
-    return np.array(_run(g, env), ndmin=1)
+    g = gradient_expr(_chain(f, len(dirs), pshape), PARAM, shape=pshape)
+    if not dirs:
+        counter.add(forward=1, backward=1, passes=1, sweeps=1)
+        return np.array(_run(g, env), ndmin=1)
+    return _sweeps(g, env, dirs, len(dirs) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,7 @@ def _newton_rule(f, theta, g, cfg, part):
             f"budget of {cfg.dense_budget}")
     if float(g @ g) == 0.0:
         return None, [cfg.damping], "clean"
-    h = np.empty((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        h[:, j] = gradient_of_nested(f, theta, [e])
+    h = gradient_of_nested(f, theta, [np.eye(p)])  # row j: H e_j
     h = 0.5 * (h + h.T)
     direction, eps_used = _ladder_solve(h, g, cfg)
     if direction is None:

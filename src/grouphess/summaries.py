@@ -12,6 +12,10 @@ derivatives (never a full derivative tensor):
   costs at most S^(d-1) passes (fewer, by exploiting symmetry);
 * the pseudo-Hessian costs exactly S Hessian-vector products plus one
   gradient, verified against the engine's pass counter.
+
+Both hand all their directions to the engine in one stacked call, which
+evaluates them in as few sweeps as the graph allows; the counter still
+charges one pass per direction.
 """
 
 from __future__ import annotations
@@ -130,7 +134,9 @@ def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
 
     Only index multisets are computed (one gradient-equivalent pass gives a
     full first-index column); permuted entries are filled by copy, so the
-    result is exactly permutation-symmetric.
+    result is exactly permutation-symmetric.  The C multisets of d - 1
+    indices go to the engine as d - 1 stacks of masked directions, so the
+    call holds (d - 1) * C + C vectors of length P at once.
     """
     if d < 1:
         raise ValueError("summary tensor needs order d >= 1")
@@ -143,12 +149,13 @@ def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
     if u.shape != (part.total,):
         raise ValueError(f"direction has shape {u.shape}, partition covers {part.total}")
 
-    masks = [mask(u, part, s) for s in range(s_count)]
-    # store[(prefix multiset)] = vector of entries over the free first index
-    columns: dict[tuple, np.ndarray] = {}
-    for prefix in combinations_with_replacement(range(s_count), d - 1):
-        w = gradient_of_nested(f, theta, [masks[s] for s in prefix])
-        columns[prefix] = group_sum(w * u, part)
+    masks = np.array([mask(u, part, s) for s in range(s_count)])
+    # columns[(prefix multiset)] = vector of entries over the free first index;
+    # all prefixes go to the engine as d - 1 stacks of masked directions
+    prefixes = list(combinations_with_replacement(range(s_count), d - 1))
+    stacks = [masks[[prefix[k] for prefix in prefixes]] for k in range(d - 1)]
+    w = np.reshape(gradient_of_nested(f, theta, stacks), (len(prefixes), -1))
+    columns = {prefix: group_sum(row * u, part) for prefix, row in zip(prefixes, w)}
 
     entries = np.empty((s_count,) * d)
     for idx in product(range(s_count), repeat=d):
@@ -167,17 +174,16 @@ def pseudo_hessian(f: Expr, theta, part: Partition, g: np.ndarray | None = None)
     """Group-level curvature of f at theta along masked gradient directions.
 
     hbar[s1, s2] = mask(g, s1)^T H mask(g, s2), assembled from S
-    Hessian-vector products (one per group) without forming H; one extra
-    pass computes the gradient unless the caller passes it as ``g``.
+    Hessian-vector products (one per group, stacked into one engine call)
+    without forming H; one extra pass computes the gradient unless the
+    caller passes it as ``g``.
     Exactly S + 1 passes total, or S with ``g``.
     """
     if g is None:
         g = gradient(f, theta)
-    s_count = part.size
-    hbar = np.empty((s_count, s_count))
-    for s in range(s_count):
-        w = gradient_of_nested(f, theta, [mask(g, part, s)])
-        hbar[:, s] = group_sum(w * g, part)
+    masked = np.array([mask(g, part, s) for s in range(part.size)])
+    w = gradient_of_nested(f, theta, [masked])  # row s: H mask(g, s)
+    hbar = np.array([group_sum(row * g, part) for row in w]).T
     hbar = 0.5 * (hbar + hbar.T)
     gbar = group_sum(g * g, part)
     env = engine._as_env(theta)

@@ -40,6 +40,11 @@ def test_run_quadratic_partitioned_discrete(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["result"]["termination"] == "converged"
     assert manifest["result"]["iterations"] == 1
+    totals = manifest["pass_totals"]
+    steps = json.loads((tmp_path / "out" / "trace.json").read_text())
+    for field in ("passes", "sweeps"):  # the traces plus the converged gradient
+        assert totals[field] == sum(step["passes"][field] for step in steps) + 1
+    assert totals["sweeps"] < totals["passes"]  # the step's 5 HVPs share sweeps
 
 
 def test_run_invalid_method_lists_valid_ones(tmp_path, capsys):

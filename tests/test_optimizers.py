@@ -278,7 +278,7 @@ def test_backtracking_halves_overshooting_steps():
     result = run(f, theta0, "gd", cfg=cfg(True))
     used = engine.counter.snapshot() - before
     # the halvings' forwards are charged to the steps that made them
-    for field in ("forward", "backward", "passes"):
+    for field in ("forward", "backward", "passes", "sweeps"):
         assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
     assert result.termination == "max-iterations"
     assert len(result.traces) == steps
@@ -485,7 +485,7 @@ def test_run_traces_account_for_every_pass(method):
                  StepConfig(damping=0.3, max_iterations=3, grad_tolerance=0.0))
     used = engine.counter.snapshot() - before
     assert result.termination == "max-iterations"
-    for field in ("forward", "backward", "passes"):
+    for field in ("forward", "backward", "passes", "sweeps"):
         assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
 
 
@@ -519,6 +519,7 @@ def test_trace_csv_and_json():
     rows = __import__("json").loads(traces_to_json(result.traces))
     assert rows[0]["status"] == "clean"
     assert rows[0]["passes"]["passes"] >= 3
+    assert 1 <= rows[0]["passes"]["sweeps"] <= rows[0]["passes"]["passes"]
 
     # byte-identical across reruns
     again = run(f, ParamVector.flat([1.0, 1.0]), "partitioned", discrete_partition(2),
