@@ -277,9 +277,9 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     part = build_partition(cfg, theta0, labels)
     scfg = step_config(cfg)
 
-    before = engine.counter.snapshot()
+    before = engine.counter.own()
     result = run(f, theta0, cfg["method"], part, scfg)
-    passes = engine.counter.snapshot() - before
+    passes = engine.counter.own() - before
 
     hashes = {"trace_csv": _write(out_dir / "trace.csv", traces_to_csv(result.traces))}
     if cfg["exports"]["trace_json"]:
@@ -491,13 +491,13 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         record("footnote-identity", err, tol["footnote-identity"])
 
     # cost audit
-    before = engine.counter.snapshot()
+    before = engine.counter.own()
     pseudo_hessian(f, theta0, part)
-    used = (engine.counter.snapshot() - before).passes
+    used = (engine.counter.own() - before).passes
     excess = abs(used - (part.size + 1))
-    before = engine.counter.snapshot()
+    before = engine.counter.own()
     summary_tensor(f, theta0, rng.normal(size=theta.size), part, order)
-    used_st = (engine.counter.snapshot() - before).passes
+    used_st = (engine.counter.own() - before).passes
     excess += max(0, used_st - (part.size ** (order - 1) + part.size + 1))
     record("pass-audit", float(excess), tol["pass-audit"])
 

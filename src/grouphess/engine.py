@@ -14,7 +14,8 @@ sigmoid, exp, log, powers, and the usual arithmetic/affine/reduction ops.
 Piecewise-linear primitives (relu, max, abs) are deliberately absent because
 second and third derivatives are consumed downstream.
 
-A process-wide :class:`PassCounter` tracks evaluation cost:
+One :class:`PassCounter` tracks evaluation cost, per process (``snapshot``)
+and per calling thread (``own``):
 
 * ``forward``  - number of graph evaluations of any kind;
 * ``backward`` - total differentiation depth of evaluated derivative graphs
@@ -24,12 +25,12 @@ A process-wide :class:`PassCounter` tracks evaluation cost:
 * ``sweeps``   - number of derivative-graph evaluations actually run: a
   stack of B directions counts B passes but may run as fewer sweeps.
 
-Nodes whose value depends on nothing but ``theta`` (the forward sweep, the
-gradient, and the direction-free part of every Hessian-vector product graph)
-are evaluated once per point per thread: each thread keeps one point's
-values, compared by theta's bytes, until it evaluates at the next point.
-A step's loss, gradient and S Hessian-vector products at one theta share
-them.
+What the engine derives from a loss lives in one program on the loss's
+root, which every graph derived from the loss joins: those graphs, each
+root's plan, and per thread the values at the thread's latest point
+(compared by theta's bytes) of the nodes that depend on nothing but
+``theta``.  So a step's loss, gradient and S Hessian-vector products at one
+theta compute each such value once, and a dropped loss frees all of it.
 
 Every other value is freed as soon as its last consumer has run.
 :func:`gradient_of_nested` also takes its directions as (B, P) stacks and
@@ -50,8 +51,8 @@ import itertools
 import math
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -114,6 +115,10 @@ class PassCounts:
     passes: int = 0
     sweeps: int = 0
 
+    def __add__(self, other: "PassCounts") -> "PassCounts":
+        return PassCounts(self.forward + other.forward, self.backward + other.backward,
+                          self.passes + other.passes, self.sweeps + other.sweeps)
+
     def __sub__(self, other: "PassCounts") -> "PassCounts":
         return PassCounts(
             self.forward - other.forward,
@@ -128,26 +133,24 @@ class PassCounter:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._forward = 0
-        self._backward = 0
-        self._passes = 0
-        self._sweeps = 0
+        self._total = PassCounts()
+        self._thread = threading.local()
 
     def add(self, forward: int = 0, backward: int = 0, passes: int = 0,
             sweeps: int = 0) -> None:
+        cost = PassCounts(forward, backward, passes, sweeps)
+        self._thread.counts = self.own() + cost
         with self._lock:
-            self._forward += forward
-            self._backward += backward
-            self._passes += passes
-            self._sweeps += sweeps
+            self._total += cost
 
     def snapshot(self) -> PassCounts:
+        """The counts of every thread's calls."""
         with self._lock:
-            return PassCounts(self._forward, self._backward, self._passes, self._sweeps)
+            return self._total
 
-    def reset(self) -> None:
-        with self._lock:
-            self._forward = self._backward = self._passes = self._sweeps = 0
+    def own(self) -> PassCounts:
+        """The counts of the calling thread's calls alone."""
+        return getattr(self._thread, "counts", PassCounts())
 
 
 counter = PassCounter()
@@ -169,7 +172,7 @@ class Expr:
     Nodes hash by identity; shared subgraphs are shared objects.
     """
 
-    __slots__ = ("op", "inputs", "payload", "shape", "nid", "__weakref__")
+    __slots__ = ("op", "inputs", "payload", "shape", "nid", "program", "__weakref__")
 
     def __init__(self, op: str, inputs: tuple, payload, shape: tuple) -> None:
         object.__setattr__(self, "op", op)
@@ -227,7 +230,7 @@ def _as_expr(x) -> Expr:
 
 # constructors --------------------------------------------------------------
 
-_var_registry: dict = {}
+_var_registry: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
 
 
 def const(value: ArrayLike) -> Expr:
@@ -238,7 +241,7 @@ def const(value: ArrayLike) -> Expr:
 
 def var(name: str, shape: Iterable[int]) -> Expr:
     """Variable leaf, interned per (name, shape) so that graphs built
-    independently against the same variable share the leaf node."""
+    independently against the same variable share it while one is alive."""
     key = (name, tuple(int(s) for s in shape))
     node = _var_registry.get(key)
     if node is None:
@@ -370,7 +373,7 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
     ``replacement`` (which may itself reference other variables)."""
     memo: dict[int, Expr] = {}
 
-    for node in _plan(f):
+    for node in _planned(f).order:
         if node.op == "var" and node.payload == name:
             if node.shape != replacement.shape:
                 raise EvaluationError(
@@ -389,7 +392,30 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-_plan_cache: "weakref.WeakKeyDictionary[Expr, _Plan]" = weakref.WeakKeyDictionary()
+@dataclass(eq=False)
+class _Program:
+    """What the engine derives from one loss: graphs by (root id, variable
+    name or chain order), plans by root id, and the per-thread store of
+    :func:`_point_values`.  It and its roots are one garbage cycle."""
+
+    derived: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
+    point: threading.local = field(default_factory=threading.local)
+
+
+def _program(root: Expr) -> _Program:
+    """The program of ``root``, begun on first use.  Threads that race here
+    may begin two; that costs work, not results, as values are keyed by node."""
+    if getattr(root, "program", None) is None:
+        object.__setattr__(root, "program", _Program())
+    return root.program
+
+
+def _adopt(f: Expr, key, root: Expr) -> Expr:
+    """Keep ``root``, built fresh from ``f``, under ``key`` in f's program, which it joins."""
+    object.__setattr__(root, "program", f.program)
+    f.program.derived[(f.nid, key)] = root
+    return root
 
 
 class _Plan:
@@ -408,8 +434,9 @@ class _Plan:
 
 
 def _planned(root: Expr) -> _Plan:
-    """The plan of ``root``, built in one walk and cached per root."""
-    plan = _plan_cache.get(root)
+    """The plan of ``root``, built in one walk and kept in its program."""
+    plans = _program(root).plans
+    plan = plans.get(root.nid)
     if plan is not None:
         return plan
     order: list[Expr] = []
@@ -437,7 +464,7 @@ def _planned(root: Expr) -> _Plan:
             if child.nid not in seen:
                 stack.append((child, False))
     fixed = tuple([node.nid not in last for node in order]) if last else (True,) * len(order)
-    plan = _plan_cache[root] = _Plan(order, fixed, last)
+    plan = plans[root.nid] = _Plan(order, fixed, last)
     return plan
 
 
@@ -467,11 +494,6 @@ def _lifetimes(plan: _Plan) -> tuple[dict, int]:
         plan.width = max(1, held // peak) if peak else 1
         plan.frees = frees
     return plan.frees, plan.width
-
-
-def _plan(root: Expr) -> list:
-    """Topological evaluation order (inputs before consumers), cached per root."""
-    return _planned(root).order
 
 
 def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -594,41 +616,38 @@ def _eval_stacked(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.n
     raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
 
 
-# One point per thread: ((theta's shape, theta's bytes), read-only copy of
-# theta, {node id -> value of a theta-only node at that theta}).
-_point = threading.local()
-
-
-def _point_values(theta: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The read-only copy of ``theta`` and this thread's stored theta-only
-    values at it.  Points compare by bytes, so -0.0 and 0.0 differ; a new
-    point drops the old one's values before any new value is computed."""
+def _point_values(theta: np.ndarray, point: threading.local) -> tuple[np.ndarray, dict]:
+    """The read-only copy of ``theta`` and the theta-only values at it in
+    ``point``, a program's per-thread store of one entry: (theta's shape and
+    bytes, that copy, {node id -> value}).  Points compare by bytes, so -0.0
+    and 0.0 differ; a new point drops the old values before computing any."""
     key = (theta.shape, theta.tobytes())
-    entry = getattr(_point, "entry", None)
+    entry = getattr(point, "entry", None)
     if entry is not None and entry[0] == key:
         return entry[1], entry[2]
-    _point.entry = None
+    point.entry = None
     frozen = theta.copy()
     frozen.setflags(write=False)
     values: dict = {}
-    _point.entry = (key, frozen, values)
+    point.entry = (key, frozen, values)
     return frozen, values
 
 
 def _run(root: Expr, env: Mapping[str, np.ndarray], stacked: bool = False) -> np.ndarray:
     """Evaluate ``root``, reusing and storing theta-only values at env's
-    theta; every other value lives until its last consumer has run.  A pass
-    looks up only its own plan's nodes, so its cost does not grow with the
-    values other graphs stored at the same point.  With ``stacked``, env's
-    direction leaves are (B, P) stacks and every node that is not
-    theta-only is evaluated by ``_eval_stacked``.  The result may be a
-    stored array, so public callers hand out copies."""
+    theta in its program; every other value lives until its last consumer
+    has run.  A pass looks up only its own plan's nodes, so its cost does
+    not grow with the values other graphs stored at the same point.  With
+    ``stacked``, env's direction leaves are (B, P) stacks and every node that
+    is not theta-only is evaluated by ``_eval_stacked``.  The result may be
+    a stored array, so public callers hand out copies."""
     plan = _planned(root)
     frees = _lifetimes(plan)[0] if plan.last else {}
     step = _eval_stacked if stacked else _eval_node
     kept: dict[int, np.ndarray] = {}
     if PARAM in env:
-        frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64))
+        frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64),
+                                     root.program.point)
         env = {**env, PARAM: frozen}
     vals: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
@@ -737,54 +756,39 @@ def _vjp(node: Expr, adj: Expr) -> list[tuple[Expr, Expr]]:
     raise EvaluationError(f"no derivative rule for primitive '{op}'")  # pragma: no cover
 
 
-def _var_node_in(f: Expr, name: str) -> Expr | None:
-    found = None
-    for node in _plan(f):
-        if node.op == "var" and node.payload == name:
-            if found is not None and found is not node:
-                raise EvaluationError(
-                    f"expression mixes two '{name}' leaves of different shapes")
-            found = node
-    return found
-
-
-_grad_cache: "weakref.WeakKeyDictionary[Expr, dict]" = weakref.WeakKeyDictionary()
-
-
 def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr:
     """Reverse-mode gradient of a scalar expression as a new expression.
 
     Adjoints are accumulated over the sub-DAG that depends on ``wrt``; every
     rule emits primitive nodes, so the returned graph supports further
-    differentiation.  Results are cached per (f, wrt).
+    differentiation.  Results are kept per (f, wrt) in f's program.
     """
-    cache = _grad_cache.setdefault(f, {})
-    if wrt in cache:
-        return cache[wrt]
+    out = _program(f).derived.get((f.nid, wrt))
+    if out is not None:
+        return out
     if f.shape != ():
         raise EvaluationError(f"gradient expects a scalar expression, got shape {f.shape}")
 
-    leaf = _var_node_in(f, wrt)
-    if leaf is None:
-        # constant w.r.t. wrt; not cached because the zero shape is caller-supplied
+    order = _planned(f).order
+    leaves = [node for node in order if node.op == "var" and node.payload == wrt]
+    if len(leaves) > 1:
+        raise EvaluationError(f"expression mixes two '{wrt}' leaves of different shapes")
+    if not leaves:
+        # constant w.r.t. wrt; not kept because the zero shape is caller-supplied
         if shape is None:
             raise EvaluationError(f"expression does not contain variable '{wrt}' "
                                   "and no shape was given for the zero gradient")
         return const(np.zeros(shape))
 
-    plan = _plan(f)
+    leaf = leaves[0]
     # nodes whose value depends on the leaf
     dep: set[int] = {leaf.nid}
-    for node in plan:
+    for node in order:
         if any(i.nid in dep for i in node.inputs):
             dep.add(node.nid)
-    if f.nid not in dep:  # pragma: no cover - leaf found implies dependence
-        out = const(np.zeros(leaf.shape))
-        cache[wrt] = out
-        return out
 
     adjoint: dict[int, Expr] = {f.nid: const(1.0)}
-    for node in reversed(plan):
+    for node in reversed(order):
         if node.nid not in dep or node.nid not in adjoint or not node.inputs:
             continue
         adj = adjoint[node.nid]
@@ -797,8 +801,7 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
     out = adjoint.get(leaf.nid)
     if out is None:
         out = const(np.zeros(leaf.shape))
-    cache[wrt] = out
-    return out
+    return _adopt(f, wrt, out)
 
 
 def gradient(f: Expr, theta) -> np.ndarray:
@@ -825,27 +828,23 @@ def directional_derivative(f: Expr, theta, u: ArrayLike) -> Expr:
     return dot(gradient_expr(f, PARAM, shape=p), const(u))
 
 
-# Derivative chains with one fresh direction leaf per order; cached per
-# expression so repeated evaluations at new points/directions rebind leaves
-# instead of rebuilding graphs.
-
-_chain_cache: "weakref.WeakKeyDictionary[Expr, dict]" = weakref.WeakKeyDictionary()
-
-
 def _dir_name(k: int) -> str:
     return f"_u{k}"
 
 
 def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     """d-fold nested directional derivative with independent direction
-    leaves _u1.._ud:  c_k = grad(c_{k-1})^T u_k."""
-    cache = _chain_cache.setdefault(f, {})
-    have = max((k for k in cache if k <= d), default=0)
-    expr = cache.get(have, f)
-    for k in range(have + 1, d + 1):
-        expr = dot(gradient_expr(expr, PARAM, shape=pshape), var(_dir_name(k), pshape))
-        cache[k] = expr
-    return cache[d] if d > 0 else f
+    leaves _u1.._ud:  c_k = grad(c_{k-1})^T u_k.  Kept in f's program under
+    (c_{k-1}, k), so evaluations at new points and directions rebind the
+    leaves instead of rebuilding graphs."""
+    if d == 0:
+        return f
+    prev = _chain(f, d - 1, pshape)
+    out = _program(prev).derived.get((prev.nid, d))
+    if out is None:
+        out = _adopt(prev, d, dot(gradient_expr(prev, PARAM, shape=pshape),
+                                  var(_dir_name(d), pshape)))
+    return out
 
 
 def _stacks(dirs: Sequence[ArrayLike], pshape: tuple) -> tuple[list, bool]:

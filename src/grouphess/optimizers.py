@@ -286,7 +286,7 @@ def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
           loss_before: float | None = None) -> tuple[ParamVector, StepTrace]:
     """The part every step shares: evaluate (unless the caller already has
     the loss at theta), apply the rule's displacement, evaluate again, trace.
-    ``t0`` and ``before`` are the clock and the counter snapshot taken
+    ``t0`` and ``before`` are the clock and this thread's counts taken
     before ``g`` was computed, so the trace is charged for that gradient."""
     if loss_before is None:
         loss_before = evaluate(f, theta)
@@ -298,12 +298,12 @@ def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
         loss_after = evaluate(f, theta2)
     eta = tuple(float(x) for x in np.atleast_1d(eta))
     return theta2, StepTrace(iteration, loss_before, loss_after, float(np.linalg.norm(g)), eta,
-                             status, engine.counter.snapshot() - before, time.perf_counter() - t0)
+                             status, engine.counter.own() - before, time.perf_counter() - t0)
 
 
 def _fresh_step(rule, f, theta, part, cfg, iteration):
     theta = _as_pv(theta)
-    t0, before = time.perf_counter(), engine.counter.snapshot()
+    t0, before = time.perf_counter(), engine.counter.own()
     g = gradient(f, theta)
     return _step(rule, f, theta, g, part, cfg or StepConfig(), iteration, t0, before)
 
@@ -365,7 +365,7 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
     termination, error = "max-iterations", None
     loss = None  # the loss at theta, once a step has evaluated it
     for it in range(cfg.max_iterations):
-        t0, before = time.perf_counter(), engine.counter.snapshot()
+        t0, before = time.perf_counter(), engine.counter.own()
         try:
             g = gradient(f, theta)
             if float(np.linalg.norm(g)) <= cfg.grad_tolerance:
@@ -385,7 +385,7 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
         if cfg.backtracking and trace.loss_after > trace.loss_before:
             theta2, loss_after = _backtrack(f, theta, theta2, trace.loss_before)
             trace = replace(trace, loss_after=loss_after,
-                            passes=engine.counter.snapshot() - before,
+                            passes=engine.counter.own() - before,
                             wall_time=time.perf_counter() - t0)
         traces.append(trace)
         theta, loss = theta2, trace.loss_after

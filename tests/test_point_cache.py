@@ -17,7 +17,7 @@ from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
 from grouphess.summaries import summary_tensor
 
 
-def _never_reuse(theta):
+def _never_reuse(theta, point):
     frozen = theta.copy()
     frozen.setflags(write=False)
     return frozen, {}

@@ -1,0 +1,110 @@
+"""What the engine derives from a loss lives and dies with the loss, and
+each thread is charged for its own passes."""
+
+import gc
+import sys
+import threading
+import tracemalloc
+import weakref
+
+import numpy as np
+
+from grouphess import engine
+from grouphess.engine import Expr, evaluate, reduce_sum, var
+from grouphess.optimizers import StepConfig, partitioned_newton_step, run
+from grouphess.partition import canonical_partition
+from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
+
+WIDTHS = (2, 8, 8, 8, 2)
+
+
+def _minibatch_losses(count, seed):
+    """``count`` frozen 64-row minibatch losses of one network on 1,000
+    moons points, built one at a time, with the initial point and the
+    partition."""
+    spec = MlpSpec(widths=WIDTHS, seed=2)
+    data = synth_dataset("moons", 1000, seed=0)
+    rng = np.random.default_rng(seed)
+    _, theta0 = make_mlp(spec, data, subset=range(64))
+    part = canonical_partition(theta0.shapes, mlp_labels(WIDTHS))
+    losses = (make_mlp(spec, data, subset=rng.choice(1000, 64, replace=False))[0]
+              for _ in range(count))
+    return losses, theta0, part
+
+
+def _live_exprs():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Expr)
+
+
+def test_dropped_losses_are_freed():
+    losses, theta0, part = _minibatch_losses(200, seed=1)
+    refs, live = [], []
+    for _ in range(2):
+        for _ in range(100):
+            loss = next(losses)
+            partitioned_newton_step(loss, theta0, part, StepConfig(damping=0.3))
+            refs.append(weakref.ref(loss))
+            del loss
+        live.append(_live_exprs())
+    assert [ref for ref in refs if ref() is not None] == []
+    assert live[1] <= live[0]
+
+
+def test_values_at_one_point_stay_bounded():
+    losses, theta0, part = _minibatch_losses(150, seed=2)
+
+    def steps(count):
+        for _ in range(count):
+            partitioned_newton_step(next(losses), theta0, part, StepConfig(damping=0.3))
+        gc.collect()
+
+    steps(50)
+    tracemalloc.start()  # traces what is allocated from here on and still held
+    try:
+        steps(100)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a loss's values at theta0 take ~0.1 MB, so keeping them grows ~10 MB here
+    assert grown < 1_000_000
+
+
+def test_threads_are_charged_their_own_passes():
+    spec = MlpSpec(widths=WIDTHS, seed=2)
+    f, theta0 = make_mlp(spec, synth_dataset("moons", 100, seed=0))
+    part = canonical_partition(theta0.shapes, mlp_labels(WIDTHS))
+    cfg = StepConfig(damping=0.3, max_iterations=30, grad_tolerance=0.0)
+    solo = run(f, theta0, "partitioned", part, cfg)
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        results[i] = run(f, theta0, "partitioned", part, cfg)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(solo.traces) == 30
+    for result in results:
+        assert [tr.passes for tr in result.traces] == [tr.passes for tr in solo.traces]
+        assert result.theta_final.values.tobytes() == solo.theta_final.values.tobytes()
+
+
+def test_dropped_leaves_are_released():
+    leaf = var("dropped", (3,))
+    f = reduce_sum(engine.tanh(leaf))
+    evaluate(f, {"dropped": np.ones(3)})
+    ref = weakref.ref(leaf)
+    del leaf, f
+    gc.collect()
+    assert ref() is None
