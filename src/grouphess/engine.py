@@ -33,16 +33,18 @@ root's plan, and per thread the values at the thread's latest point
 theta compute each such value once, and a dropped loss frees all of it.
 
 Every other value is freed as soon as its last consumer has run.
-:func:`gradient_of_nested` also takes its directions as (B, P) stacks and
-evaluates the direction-dependent nodes for many rows at once, each value
-carrying a leading stack axis; row b is bitwise equal to the call with the
-stacks' row b.  A stack is cut into sweeps whose width is read from the
-graph's static shapes: the number of direction-dependent elements of one
-row, divided by the most of them alive at once under last-use freeing.  So
-a sweep never holds more direction-dependent memory than one row would
-without freeing.  The counter's ``forward``, ``backward`` and ``passes``
-stay logical: every row counts as one call, whether its values were
-computed, reused or stacked; ``sweeps`` is the physical count.
+:func:`gradient_of_nested` runs single direction vectors in one plain pass.
+It also takes its directions as (B, P) stacks and evaluates the
+direction-dependent nodes for many rows at once, each value carrying a
+leading stack axis; one evaluator serves both, and row b is bitwise equal
+to the call with the stacks' row b as plain vectors.  A stack is cut into
+sweeps whose width is read from the graph's static shapes: the number of
+direction-dependent elements of one row, divided by the most of them alive
+at once under last-use freeing.  So a sweep never holds more
+direction-dependent memory than one row would without freeing.  The
+counter's ``forward``, ``backward`` and ``passes`` stay logical: every row
+counts as one call, whether its values were computed, reused or stacked;
+``sweeps`` is the physical count.
 """
 
 from __future__ import annotations
@@ -395,8 +397,9 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
 @dataclass(eq=False)
 class _Program:
     """What the engine derives from one loss: graphs by (root id, variable
-    name or chain order), plans by root id, and the per-thread store of
-    :func:`_point_values`.  It and its roots are one garbage cycle."""
+    name or (chain order, parameter shape)), plans by root id, and the
+    per-thread store of :func:`_point_values`.  It and its roots are one
+    garbage cycle."""
 
     derived: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
@@ -496,7 +499,21 @@ def _lifetimes(plan: _Plan) -> tuple[dict, int]:
     return plan.frees, plan.width
 
 
-def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
+def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
+    """A broadcasting operand of static ``shape`` with its stack axis, if it
+    has one, in front of the result's ``ndim`` axes."""
+    if v.ndim == len(shape):
+        return v
+    return v.reshape(v.shape[:1] + (1,) * (ndim - len(shape)) + shape)
+
+
+def _eval(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The value of ``node`` from its inputs' values.  Only direction leaves
+    may be bound with one leading stack axis (B rows); a value that depends
+    on them carries that axis in front of the node's static shape.  A stacked
+    row goes through the same numpy kernel with the same memory layout as an
+    unstacked value, so every row is bitwise equal to the pass with that
+    row's directions as plain vectors."""
     op = node.op
     if op == "const":
         return node.payload
@@ -506,33 +523,54 @@ def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndar
         except KeyError:
             raise EvaluationError(f"unbound variable '{node.payload}'") from None
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != node.shape:
+        if v.shape != node.shape and not (v.shape[1:] == node.shape
+                                          and _is_direction(node.payload)):
             raise EvaluationError(
                 f"variable '{node.payload}' expects shape {node.shape}, got {v.shape}")
         return v
-    a = vals[node.inputs[0].nid]
+    x = node.inputs[0]
+    a = vals[x.nid]
     if op == "neg":
         return -a
-    if op == "add":
-        return a + vals[node.inputs[1].nid]
-    if op == "mul":
-        return a * vals[node.inputs[1].nid]
+    if op == "add" or op == "mul":
+        y = node.inputs[1]
+        b = vals[y.nid]
+        if len(x.shape) != len(y.shape):  # lift a stacked lower-rank operand
+            n = len(node.shape)
+            if len(x.shape) < n:
+                a = _lifted(a, x.shape, n)
+            else:
+                b = _lifted(b, y.shape, n)
+        return a + b if op == "add" else a * b
     if op == "matmul":
-        return a @ vals[node.inputs[1].nid]
+        y = node.inputs[1]
+        b = vals[y.nid]
+        if len(y.shape) == 1 and b.ndim == 2:  # matrix @ stacked vector
+            return (a @ b[..., None])[..., 0]
+        return a @ b
     if op == "transpose":
-        return a.T
+        return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
     if op == "reshape":
-        return a.reshape(node.payload)
+        if a.ndim == len(x.shape):
+            return a.reshape(node.payload)
+        return a.reshape(a.shape[:1] + node.payload)
     if op == "segment":
         start, stop = node.payload
-        return a[start:stop]
+        return a[start:stop] if a.ndim == 1 else a[:, start:stop]
     if op == "embed":
         start, total = node.payload
-        out = np.zeros(total)
-        out[start:start + a.shape[0]] = a
+        if a.ndim == 1:
+            out = np.zeros(total)
+            out[start:start + a.shape[0]] = a
+        else:
+            out = np.zeros((a.shape[0], total))
+            out[:, start:start + a.shape[1]] = a
         return out
     if op == "sum":
-        return np.sum(a, axis=node.payload)
+        axis = node.payload
+        if a.ndim == len(x.shape):
+            return np.sum(a, axis=axis)
+        return np.sum(a, axis=tuple(range(1, a.ndim)) if axis is None else axis + 1)
     if op == "exp":
         return np.exp(a)
     if op == "log":
@@ -557,65 +595,6 @@ def _eval_node(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndar
     raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
 
 
-# ops that act on each element alone, so on a stacked value row by row
-_ROWWISE = frozenset({"neg", "exp", "log", "tanh", "softplus", "sigmoid", "power"})
-
-
-def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
-    """A broadcasting operand of static ``shape`` with its stack axis, if it
-    has one, in front of the result's ``ndim`` axes."""
-    if v.ndim == len(shape):
-        return v
-    return v.reshape(v.shape[:1] + (1,) * (ndim - len(shape)) + shape)
-
-
-def _eval_stacked(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``_eval_node`` for a node that is not theta-only, in a pass whose
-    direction leaves are (B, P) stacks.  A stacked value has one axis more
-    than the node's static shape, the stack axis in front.  Each row goes
-    through the same numpy kernel with the same memory layout as in a pass
-    with one direction, so every row is bitwise equal to that pass."""
-    op = node.op
-    if op == "add" or op == "mul":
-        x, y = node.inputs
-        a, b = vals[x.nid], vals[y.nid]
-        n = len(node.shape)
-        if len(x.shape) < n:
-            a = _lifted(a, x.shape, n)
-        if len(y.shape) < n:
-            b = _lifted(b, y.shape, n)
-        return a + b if op == "add" else a * b
-    if op == "matmul":
-        x, y = node.inputs
-        b = vals[y.nid]
-        if len(y.shape) == 1 and b.ndim == 2:  # matrix @ stacked vector
-            return (vals[x.nid] @ b[..., None])[..., 0]
-        return vals[x.nid] @ b
-    if op == "var":
-        v = env.get(node.payload)
-        return v if np.ndim(v) == len(node.shape) + 1 else _eval_node(node, vals, env)
-    x = node.inputs[0]
-    a = vals[x.nid]
-    if a.ndim == len(x.shape) or op in _ROWWISE:
-        return _eval_node(node, vals, env)
-    if op == "reshape":
-        return a.reshape(a.shape[:1] + node.payload)
-    if op == "segment":
-        start, stop = node.payload
-        return a[:, start:stop]
-    if op == "embed":
-        start, total = node.payload
-        out = np.zeros((a.shape[0], total))
-        out[:, start:start + a.shape[1]] = a
-        return out
-    if op == "transpose":
-        return a.swapaxes(-1, -2)
-    if op == "sum":
-        axis = node.payload
-        return np.sum(a, axis=tuple(range(1, a.ndim)) if axis is None else axis + 1)
-    raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
-
-
 def _point_values(theta: np.ndarray, point: threading.local) -> tuple[np.ndarray, dict]:
     """The read-only copy of ``theta`` and the theta-only values at it in
     ``point``, a program's per-thread store of one entry: (theta's shape and
@@ -633,17 +612,15 @@ def _point_values(theta: np.ndarray, point: threading.local) -> tuple[np.ndarray
     return frozen, values
 
 
-def _run(root: Expr, env: Mapping[str, np.ndarray], stacked: bool = False) -> np.ndarray:
+def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate ``root``, reusing and storing theta-only values at env's
     theta in its program; every other value lives until its last consumer
     has run.  A pass looks up only its own plan's nodes, so its cost does
-    not grow with the values other graphs stored at the same point.  With
-    ``stacked``, env's direction leaves are (B, P) stacks and every node that
-    is not theta-only is evaluated by ``_eval_stacked``.  The result may be
-    a stored array, so public callers hand out copies."""
+    not grow with the values other graphs stored at the same point.  Env's
+    direction leaves may be plain vectors or (B, P) stacks (see ``_eval``).
+    The result may be a stored array, so public callers hand out copies."""
     plan = _planned(root)
     frees = _lifetimes(plan)[0] if plan.last else {}
-    step = _eval_stacked if stacked else _eval_node
     kept: dict[int, np.ndarray] = {}
     if PARAM in env:
         frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64),
@@ -656,10 +633,10 @@ def _run(root: Expr, env: Mapping[str, np.ndarray], stacked: bool = False) -> np
             if is_fixed:
                 value = kept.get(nid)
                 if value is None:
-                    value = kept[nid] = _eval_node(node, vals, env)
+                    value = kept[nid] = _eval(node, vals, env)
                 vals[nid] = value
             else:
-                vals[nid] = step(node, vals, env)
+                vals[nid] = _eval(node, vals, env)
                 for dead in frees.get(nid, ()):
                     del vals[dead]
     return vals[root.nid]
@@ -832,39 +809,44 @@ def _dir_name(k: int) -> str:
     return f"_u{k}"
 
 
+def _is_direction(name: str) -> bool:
+    return name[:2] == "_u" and name[2:].isdigit()
+
+
 def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     """d-fold nested directional derivative with independent direction
     leaves _u1.._ud:  c_k = grad(c_{k-1})^T u_k.  Kept in f's program under
-    (c_{k-1}, k), so evaluations at new points and directions rebind the
-    leaves instead of rebuilding graphs."""
+    (c_{k-1}, (k, pshape)), so evaluations at new points and directions rebind
+    the leaves instead of rebuilding graphs, and a call with a misshaped theta
+    leaves no leaf of its shape behind for later calls."""
     if d == 0:
         return f
     prev = _chain(f, d - 1, pshape)
-    out = _program(prev).derived.get((prev.nid, d))
+    out = _program(prev).derived.get((prev.nid, (d, pshape)))
     if out is None:
-        out = _adopt(prev, d, dot(gradient_expr(prev, PARAM, shape=pshape),
-                                  var(_dir_name(d), pshape)))
+        out = _adopt(prev, (d, pshape), dot(gradient_expr(prev, PARAM, shape=pshape),
+                                            var(_dir_name(d), pshape)))
     return out
 
 
-def _stacks(dirs: Sequence[ArrayLike], pshape: tuple) -> tuple[list, bool]:
-    """The directions as contiguous (B, P) stacks, and whether they were
-    given as single vectors (then B = 1)."""
+def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
+    """Evaluate ``expr`` with the direction leaves _u1.. bound to ``dirs``,
+    which are all single vectors or all (B, P) stacks with one B: vectors in
+    one plain pass, stacks in sweeps of at most the plan's width rows.  Each
+    row counts as one logical pass of depth ``backward``, each sweep as one
+    physical sweep."""
+    pshape = np.asarray(env[PARAM]).shape
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
     want = pshape if single else stacks[0].shape[:1] + pshape
     for k, u in enumerate(stacks, start=1):
         if u.shape != want:
             raise EvaluationError(f"direction {k} has shape {u.shape}, expected {want}")
-    return ([u[None] for u in stacks] if single else stacks), single
-
-
-def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
-    """Evaluate ``expr`` with the direction leaves _u1.. bound to ``dirs``,
-    in sweeps of at most the plan's width rows.  Each row counts as one
-    logical pass of depth ``backward``, each sweep as one physical sweep."""
-    stacks, single = _stacks(dirs, np.asarray(env[PARAM]).shape)
-    rows = stacks[0].shape[0]
+        env[_dir_name(k)] = u
+    if single:
+        counter.add(forward=1, backward=backward, passes=1, sweeps=1)
+        return np.array(_run(expr, env))
+    rows = want[0]
     width = _lifetimes(_planned(expr))[1]
     out = np.empty((rows,) + expr.shape)
     for lo in range(0, rows, width):
@@ -872,8 +854,8 @@ def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> 
             env[_dir_name(k)] = u[lo:lo + width]
         n = min(width, rows - lo)
         counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-        out[lo:lo + n] = _run(expr, env, stacked=True)
-    return out[0] if single else out
+        out[lo:lo + n] = _run(expr, env)
+    return out
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
@@ -898,9 +880,6 @@ def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
     env = dict(_as_env(theta))
     pshape = np.asarray(env[PARAM]).shape
     g = gradient_expr(_chain(f, len(dirs), pshape), PARAM, shape=pshape)
-    if not dirs:
-        counter.add(forward=1, backward=1, passes=1, sweeps=1)
-        return np.array(_run(g, env), ndmin=1)
     return _sweeps(g, env, dirs, len(dirs) + 1)
 
 

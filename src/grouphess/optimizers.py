@@ -22,7 +22,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -285,9 +285,11 @@ def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
           iteration: int, t0: float, before: PassCounts,
           loss_before: float | None = None) -> tuple[ParamVector, StepTrace]:
     """The part every step shares: evaluate (unless the caller already has
-    the loss at theta), apply the rule's displacement, evaluate again, trace.
-    ``t0`` and ``before`` are the clock and this thread's counts taken
-    before ``g`` was computed, so the trace is charged for that gradient."""
+    the loss at theta), apply the rule's displacement, evaluate again, halve
+    a rising step when ``backtracking`` is on, trace.  A non-finite loss or
+    iterate raises NonFiniteLossError before any halving.  ``t0`` and
+    ``before`` are the clock and this thread's counts taken before ``g`` was
+    computed, so the trace is charged for that gradient and the halvings."""
     if loss_before is None:
         loss_before = evaluate(f, theta)
     displacement, eta, status = rule(f, theta, g, cfg, part)
@@ -296,6 +298,10 @@ def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
     else:
         theta2 = theta.with_values(theta.values - displacement)
         loss_after = evaluate(f, theta2)
+    if not (math.isfinite(loss_after) and np.all(np.isfinite(theta2.values))):
+        raise NonFiniteLossError("the step reached a non-finite loss or iterate")
+    if cfg.backtracking and loss_after > loss_before:
+        theta2, loss_after = _backtrack(f, theta, theta2, loss_before)
     eta = tuple(float(x) for x in np.atleast_1d(eta))
     return theta2, StepTrace(iteration, loss_before, loss_after, float(np.linalg.norm(g)), eta,
                              status, engine.counter.own() - before, time.perf_counter() - t0)
@@ -379,14 +385,6 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
             kind = "solver" if isinstance(exc, SolverError) else "eval"
             termination, error = f"aborted-{kind}", str(exc)
             break
-        if not np.all(np.isfinite(theta2.values)):
-            termination = "aborted-nonfinite"
-            break
-        if cfg.backtracking and trace.loss_after > trace.loss_before:
-            theta2, loss_after = _backtrack(f, theta, theta2, trace.loss_before)
-            trace = replace(trace, loss_after=loss_after,
-                            passes=engine.counter.own() - before,
-                            wall_time=time.perf_counter() - t0)
         traces.append(trace)
         theta, loss = theta2, trace.loss_after
     return RunResult(tuple(traces), theta, termination, error)

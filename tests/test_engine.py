@@ -209,6 +209,20 @@ def test_unbound_variable_error():
         evaluate(f, np.ones(2))
 
 
+def test_misshaped_theta_is_an_evaluation_error():
+    # only direction leaves may carry a leading stack axis
+    f = reduce_sum(quad_diag12())
+    theta = np.ones((1, 2))
+    calls = [lambda: evaluate(f, theta), lambda: gradient(f, theta),
+             lambda: gradient_of_nested(f, theta, []),
+             lambda: gradient_of_nested(f, theta, [np.ones((1, 2))])]
+    for call in calls:
+        with pytest.raises(EvaluationError, match=r"'theta' expects shape \(2,\), got \(1, 2\)"):
+            call()
+    # the failed calls leave nothing behind that breaks a well-shaped one
+    assert np.array_equal(gradient_of_nested(f, np.ones(2), [np.ones(2)]), [2.0, 4.0])
+
+
 def test_substitute_rescales_parameters():
     f = reduce_sum(quad_diag12())
     t = var("theta", (2,))

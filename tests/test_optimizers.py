@@ -7,6 +7,7 @@ from grouphess import engine
 from grouphess.engine import ParamVector, const, dot, log, matmul, reduce_sum, substitute, var
 from grouphess.optimizers import (
     METHODS,
+    RunResult,
     SolverError,
     StepConfig,
     cauchy_step,
@@ -274,19 +275,28 @@ def test_backtracking_halves_overshooting_steps():
     plain = run(f, theta0, "gd", cfg=cfg(False))
     assert all(tr.loss_after > tr.loss_before for tr in plain.traces)
 
-    before = engine.counter.snapshot()
-    result = run(f, theta0, "gd", cfg=cfg(True))
-    used = engine.counter.snapshot() - before
-    # the halvings' forwards are charged to the steps that made them
-    for field in ("forward", "backward", "passes", "sweeps"):
-        assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
-    assert result.termination == "max-iterations"
-    assert len(result.traces) == steps
-    assert all(tr.loss_after <= tr.loss_before for tr in result.traces)
-    # the halved gd step scales the axes by 1 - 0.75 and 1 - 1.5 per step
-    assert np.allclose(result.theta_final.values, [0.25 ** steps, (-0.5) ** steps],
-                       rtol=1e-13, atol=0.0)
-    assert result.traces[-1].loss_after == engine.evaluate(f, result.theta_final)
+    def single_steps(f, theta, method, cfg):
+        # the single-step functions share run's step, backtracking included
+        traces = []
+        for it in range(cfg.max_iterations):
+            theta, trace = gd_step(f, theta, cfg, iteration=it)
+            traces.append(trace)
+        return RunResult(tuple(traces), theta, "max-iterations")
+
+    for drive in (run, single_steps):
+        before = engine.counter.snapshot()
+        result = drive(f, theta0, "gd", cfg=cfg(True))
+        used = engine.counter.snapshot() - before
+        # the halvings' forwards are charged to the steps that made them
+        for field in ("forward", "backward", "passes", "sweeps"):
+            assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
+        assert result.termination == "max-iterations"
+        assert len(result.traces) == steps
+        assert all(tr.loss_after <= tr.loss_before for tr in result.traces), drive
+        # the halved gd step scales the axes by 1 - 0.75 and 1 - 1.5 per step
+        assert np.allclose(result.theta_final.values, [0.25 ** steps, (-0.5) ** steps],
+                           rtol=1e-13, atol=0.0)
+        assert result.traces[-1].loss_after == engine.evaluate(f, result.theta_final)
 
 
 def make_rosenbrock_expr():

@@ -2,8 +2,8 @@
 
 ``gradient_of_nested`` takes (B, P) direction stacks and evaluates every
 direction-dependent node for a sweep of rows at once.  Each row must be
-bitwise equal to the pass with that row alone, and to the unstacked
-evaluator; a sweep holds no more direction-dependent memory than one
+bitwise equal to the pass with that row alone, and to the pass with 1-D
+directions; a sweep holds no more direction-dependent memory than one
 unfreed row; and the counter stays logical while ``sweeps`` counts what ran.
 """
 
@@ -59,7 +59,7 @@ def _width(f, p, d):
 
 
 def _unstacked(expr, theta, dirs):
-    """``expr`` with 1-D directions, through the unstacked evaluator."""
+    """``expr`` evaluated by the pass with 1-D directions."""
     env = {PARAM: theta, **{engine._dir_name(k): u for k, u in enumerate(dirs, start=1)}}
     return np.array(engine._run(expr, env), ndmin=1)
 
@@ -134,7 +134,7 @@ def test_stacked_sum_of_a_transposed_value_matches_rowwise():
                 assert out[r].tobytes() == _unstacked(expr, theta, [u[r] for u in stacks]).tobytes()
     # the loss itself, evaluated for a stack of direction rows
     stack = rng.normal(size=(6, p))
-    values = engine._run(f, {PARAM: theta, engine._dir_name(1): stack}, stacked=True)
+    values = engine._run(f, {PARAM: theta, engine._dir_name(1): stack})
     for r in range(6):
         assert values[r].tobytes() == _unstacked(f, theta, [stack[r]])[0].tobytes()
 
@@ -154,6 +154,37 @@ def test_stacked_call_with_other_variables_in_the_environment():
         single = gradient_of_nested(f, env, [stack[r]])
         plain = engine._run(expr, {**env, engine._dir_name(1): stack[r]})
         assert out[r].tobytes() == single.tobytes() == plain.tobytes()
+
+
+def test_stacked_call_rejects_a_misshaped_caller_variable():
+    # only direction leaves may be bound with a leading stack axis
+    theta, x = var(PARAM, (12,)), var("x", (4,))
+    h = engine.matmul(engine.reshape(theta, (3, 4)), engine.transpose(engine.reshape(x, (1, 4))))
+    f = reduce_sum(engine.tanh(engine.segment(engine.reshape(h, (3,)), 0, 2)) ** 3)
+    rng = np.random.default_rng(5)
+    env = {PARAM: rng.normal(size=12), "x": rng.normal(size=(5, 4))}
+    with pytest.raises(EvaluationError,
+                       match=r"variable 'x' expects shape \(4,\), got \(5, 4\)"):
+        gradient_of_nested(f, env, [rng.normal(size=(5, 12))])
+
+
+def test_single_directions_run_as_one_plain_pass(monkeypatch):
+    f, theta, _ = _mlp()
+    p = theta.size
+    bound = []
+    run_pass = engine._run
+
+    def spy(root, env):
+        bound.append(env[engine._dir_name(1)].shape)
+        return run_pass(root, env)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    before = engine.counter.own()
+    out = gradient_of_nested(f, theta, [np.ones(p)])
+    used = engine.counter.own() - before
+    assert out.shape == (p,)
+    assert bound == [(p,)]
+    assert (used.passes, used.sweeps) == (1, 1)
 
 
 def test_direction_stacks_must_agree():
