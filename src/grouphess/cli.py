@@ -39,7 +39,7 @@ from .optimizers import (
     traces_to_csv,
     traces_to_json,
 )
-from .partition import Partition, canonical_partition, discrete_partition, trivial_partition
+from .partition import Partition, canonical_partition, discrete_partition, mask, trivial_partition
 from .problems import (
     CsvSchema,
     DataError,
@@ -113,10 +113,25 @@ CHECK_TOLERANCES = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether ``value`` may stand where ``default`` does: a value of the same
+    type (a bool is no int), except that a float also takes an int or a
+    numeric string, as PyYAML reads 1e-08 as a string and manifests keep it."""
+    if not isinstance(default, float):
+        return type(value) is type(default)
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return not isinstance(value, bool)
+
+
 def _merge(defaults, override, path="config"):
     if override is None:
         return defaults
     if not isinstance(defaults, dict):
+        if defaults is not None and not _fits(defaults, override):
+            raise ConfigError(f"{path}: expected {type(defaults).__name__}, got {override!r}")
         return override
     if not isinstance(override, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(override).__name__}")
@@ -166,15 +181,24 @@ def _validate(cfg: dict) -> None:
     ds = cfg["problem"]["dataset"]
     if ds["kind"] not in ("moons", "blobs", "csv"):
         raise ConfigError(f"dataset.kind '{ds['kind']}' invalid (moons, blobs, csv)")
+    for key, default in (("seed", 0), ("noise", 0.0), ("path", "")):  # None by default
+        if ds[key] is not None and not _fits(default, ds[key]):
+            raise ConfigError(f"dataset.{key}: expected {type(default).__name__}, got {ds[key]!r}")
     if ds["kind"] == "csv" and not ds["path"]:
         raise ConfigError("dataset.kind csv requires dataset.path")
     if ds["kind"] == "csv" and not Path(ds["path"]).exists():
         raise ConfigError(f"dataset file not found: {ds['path']}")
     if part.startswith("file:") and not Path(part[5:]).exists():
         raise ConfigError(f"partition file not found: {part[5:]}")
-    order = cfg["check"]["order"]
-    if not 1 <= int(order) <= 3:
+    if not 1 <= cfg["check"]["order"] <= 3:
         raise ConfigError("check.order must be 1, 2 or 3")
+    if cfg["check"]["directions"] < 1:
+        raise ConfigError("check.directions must be at least 1")
+    for name, value in cfg["check"]["tolerances"].items():
+        if name not in CHECK_TOLERANCES:
+            raise ConfigError(f"check.tolerances: unknown check '{name}'")
+        if not _fits(0.0, value):
+            raise ConfigError(f"check.tolerances.{name}: expected float, got {value!r}")
 
 
 def step_config(cfg: dict) -> StepConfig:
@@ -351,8 +375,8 @@ def cmd_inspect(cfg: dict, out_dir: Path, at: str) -> int:
     theta, step_stamp = theta0, 0
     if at == "checkpoint":
         result = run(f, theta0, cfg["method"], part, scfg)
-        if result.error is not None:
-            print(f"runtime abort: {result.error}", file=sys.stderr)
+        if result.termination.startswith("aborted"):
+            print(f"runtime abort: {result.error or result.termination}", file=sys.stderr)
             return EXIT_RUNTIME
         theta, step_stamp = result.theta_final, len(result.traces)
 
@@ -403,9 +427,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
     order = int(cfg["check"]["order"])
     n_dirs = int(cfg["check"]["directions"])
     tol = dict(CHECK_TOLERANCES)
-    for name, value in (cfg["check"]["tolerances"] or {}).items():
-        if name not in tol:
-            raise ConfigError(f"check.tolerances: unknown check '{name}'")
+    for name, value in cfg["check"]["tolerances"].items():
         tol[name] = float(value)
 
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -431,12 +453,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
     if theta.size <= 8:
         h_fd = fd_hessian(f, theta)
         ref = np.zeros((part.size, part.size))
-        masks = []
-        for s in range(part.size):
-            m = np.zeros_like(g)
-            idx = np.fromiter(part.groups[s], dtype=np.int64)
-            m[idx] = g[idx]
-            masks.append(m)
+        masks = [mask(g, part, s) for s in range(part.size)]
         for s1 in range(part.size):
             for s2 in range(part.size):
                 ref[s1, s2] = masks[s1] @ h_fd @ masks[s2]
@@ -445,12 +462,15 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
                tol["hessian-oracle"])
 
     # sum-collapse and symmetry for each order up to the requested one
-    worst_collapse, worst_sym = 0.0, 0.0
+    worst_collapse, worst_sym, summary_passes = 0.0, 0.0, 0
     for d in range(1, order + 1):
         max_abs = 0.0
         for _ in range(n_dirs):
             u = rng.normal(size=theta.size)
+            before = engine.counter.own()
             st_d = summary_tensor(f, theta0, u, part, d)
+            if d == order:  # the top-order tensors are the pass audit's
+                summary_passes = max(summary_passes, (engine.counter.own() - before).passes)
             tt = taylor_term(f, theta0, u, d)
             scale = max(abs(tt), 1e-12)
             worst_collapse = max(worst_collapse, abs(st_d.total() - tt) / scale)
@@ -464,9 +484,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
     record("sum-collapse", worst_collapse, tol["sum-collapse"])
     if order >= 2:
         record("symmetry", worst_sym, tol["symmetry"])
-
-    # pseudo-gradient / pseudo-Hessian as order-1/2 summaries at u = g
-    if order >= 2:
+        # pseudo-gradient / pseudo-Hessian as order-1/2 summaries at u = g
         st2 = summary_tensor(f, theta0, g, part, 2)
         st1 = summary_tensor(f, theta0, g, part, 1)
         scale2 = max(float(np.max(np.abs(st2.entries))), 1e-12)
@@ -477,10 +495,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 
     # cost audit
     excess = abs(system_passes - (part.size + 1))
-    before = engine.counter.own()
-    summary_tensor(f, theta0, rng.normal(size=theta.size), part, order)
-    used_st = (engine.counter.own() - before).passes
-    excess += max(0, used_st - (part.size ** (order - 1) + part.size + 1))
+    excess += max(0, summary_passes - (part.size ** (order - 1) + part.size + 1))
     record("pass-audit", float(excess), tol["pass-audit"])
 
     failures = [c["check"] for c in checks if not c["passed"]]

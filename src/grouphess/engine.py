@@ -935,6 +935,3 @@ class ParamVector:
 
     def with_values(self, values: ArrayLike) -> "ParamVector":
         return ParamVector(np.asarray(values, dtype=np.float64), self.shapes)
-
-    def variable(self) -> Expr:
-        return var(PARAM, (self.size,))

@@ -94,6 +94,10 @@ class StepConfig:
             raise ValueError("damping must be positive")
         if self.regularization_eps < 0:
             raise ValueError("regularization_eps must be non-negative")
+        if self.reg_mode not in ("exact", "sampled"):
+            raise ValueError(f"reg_mode '{self.reg_mode}' invalid (exact, sampled)")
+        if self.reg_samples < 1:
+            raise ValueError("reg_samples must be at least 1")
         ladder = tuple(float(x) for x in self.ladder)
         if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(x <= 0 for x in ladder):
             raise ValueError("ladder must be strictly increasing and positive")

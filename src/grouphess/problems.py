@@ -79,10 +79,6 @@ class QuadraticProblem:
         c = rng.normal(size=p)
         return cls(a, c, spec)
 
-    @property
-    def b(self) -> np.ndarray:
-        return self.A @ self.minimizer
-
     def expr(self) -> Expr:
         p = self.A.shape[0]
         t = var(engine.PARAM, (p,))

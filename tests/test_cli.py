@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
 
+from grouphess import engine
 from grouphess.cli import DEFAULT_CONFIG, load_config, main
 
 
@@ -125,6 +127,24 @@ def test_runtime_abort_keeps_partial_trace(tmp_path, capsys):
     assert not (tmp_path / "ins" / "hbar.json").exists()
 
 
+def test_inspect_checkpoint_stops_on_a_nonfinite_abort(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        problem={"kind": "rosenbrock"},
+        method="gd",
+        step={"max_iterations": 30},
+        out=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", str(path)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["result"]["termination"] == "aborted-nonfinite"
+    capsys.readouterr()
+    assert main(["inspect", "--config", str(path), "--at", "checkpoint",
+                 "--out", str(tmp_path / "ins")]) == 3
+    assert "runtime abort: aborted-nonfinite" in capsys.readouterr().err
+    assert not (tmp_path / "ins" / "hbar.json").exists()
+
+
 def test_inspect_mlp_blocks(tmp_path):
     path = write_config(
         tmp_path,
@@ -230,6 +250,28 @@ def test_check_corrupted_tolerance_fails_and_names_check(tmp_path, capsys):
     assert "FAIL gradient-fd" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("problem, partition, s, order, directions", [
+    ({"kind": "quadratic", "size": 5}, "discrete", 5, 3, 5),
+    ({"kind": "quadratic", "size": 4}, "trivial", 1, 2, 3),
+    ({"kind": "mlp", "widths": [2, 3, 2], "dataset": {"kind": "moons", "n": 12}},
+     "canonical", 4, 3, 2),
+])
+def test_check_battery_pass_count(tmp_path, problem, partition, s, order, directions):
+    """The battery costs: the gradient; the S + 1 pass group system; per
+    order d and direction, one order-d summary tensor (C(S + d - 2, d - 1)
+    passes) and one Taylor term; from order 2 on, the order-2 and order-1
+    summaries at the gradient and the pseudo-gradient (S + 2 passes)."""
+    path = write_config(tmp_path, problem=problem, partition=partition,
+                        check={"directions": directions}, out=str(tmp_path / "out"))
+    expected = 1 + (s + 1) + sum(directions * (math.comb(s + d - 2, d - 1) + 1)
+                                 for d in range(1, order + 1))
+    if order >= 2:
+        expected += s + 2
+    before = engine.counter.own()
+    assert main(["check", "--config", str(path), "--order", str(order)]) == 0
+    assert (engine.counter.own() - before).passes == expected
+
+
 def test_partition_file_round_trip(tmp_path):
     from grouphess.partition import custom_partition
 
@@ -295,3 +337,26 @@ def test_missing_config_file_is_config_error():
 
 def test_defaults_need_no_config_file(tmp_path):
     assert main(["run", "--out", str(tmp_path / "out"), "--method", "gd"]) == 0
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("run", {"step": {"backtracking": "no"}}),
+    ("run", {"step": {"max_iterations": 2.9}}),
+    ("run", {"seed": "abc"}),
+    ("check", {"check": {"order": "x"}}),
+    ("check", {"check": {"directions": "x"}}),
+    ("check", {"check": {"tolerances": {"symmetry": "tight"}}}),
+    ("run", {"step": {"regularization_eps": 1, "reg_mode": "bogus"}}),
+    ("run", {"step": {"regularization_eps": 1, "reg_mode": "sampled", "reg_samples": 0}}),
+    ("check", {"check": {"directions": 0}}),
+    ("run", {"problem": {"kind": "mlp", "dataset": {"seed": 1.5}}}),
+    ("run", {"problem": {"kind": "mlp", "dataset": {"noise": "loud"}}}),
+], ids=["bool-as-string", "int-as-float", "seed-as-string", "order-as-string",
+        "directions-as-string", "tolerance-as-word", "unknown-reg-mode", "zero-reg-samples",
+        "zero-directions", "dataset-seed-as-float", "dataset-noise-as-word"])
+def test_mistyped_config_values_are_config_errors(tmp_path, capsys, command, overrides):
+    config = {"problem": {"kind": "quadratic", "size": 3}, "out": str(tmp_path / "out")}
+    path = write_config(tmp_path, **{**config, **overrides})
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -212,6 +212,10 @@ def test_step_config_validation():
         StepConfig(ladder=(1e-3, 1e-3))
     with pytest.raises(ValueError):
         StepConfig(regularization_eps=-1.0)
+    with pytest.raises(ValueError, match="reg_mode"):
+        StepConfig(reg_mode="bogus")
+    with pytest.raises(ValueError, match="reg_samples"):
+        StepConfig(reg_samples=0)
 
 
 # run loop ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouphess import engine
+from grouphess import engine, summaries
 from grouphess.engine import const, dot, matmul, reduce_sum, var
 from grouphess.fd import fd_hessian
 from grouphess.partition import (
@@ -15,6 +16,7 @@ from grouphess.partition import (
     mask,
     trivial_partition,
 )
+from grouphess.problems import MlpSpec, make_mlp, synth_dataset
 from grouphess.summaries import (
     BudgetError,
     PseudoSystem,
@@ -329,3 +331,56 @@ def test_regularization_sampled_is_lower_bound_and_flagged():
     assert sampled.lower_bound
     assert sampled.samples == 40
     assert np.all(np.asarray(sampled) <= np.asarray(exact) + 1e-12)
+
+
+def _small_mlp_with_custom_groups():
+    f, theta0 = make_mlp(MlpSpec((2, 3, 2), seed=1), synth_dataset("moons", 12, seed=3))
+    order = np.random.default_rng(5).permutation(theta0.size)
+    part = custom_partition([order[:4], order[4:11], order[11:]])
+    return f, theta0.values, part
+
+
+def test_regularization_modes_equal_the_max_over_their_rows():
+    """Reference: exact mode as one gradient_of_nested call per index pair,
+    sampled mode as one nested_directional call per triple, same draws."""
+    f, theta, part = _small_mlp_with_custom_groups()
+
+    def unit(q):
+        e = np.zeros(part.total)
+        e[q] = 1.0
+        return e
+
+    exact, sampled = np.zeros(part.size), np.zeros(part.size)
+    rng = np.random.default_rng(11)
+    for s, grp in enumerate(part.groups):
+        idx = np.asarray(grp)
+        for j, k in itertools.combinations_with_replacement(grp, 2):
+            w = engine.gradient_of_nested(f, theta, [unit(j), unit(k)])
+            exact[s] = max(exact[s], float(np.max(np.abs(w[idx]))))
+        for _ in range(30):
+            i, j, k = rng.choice(idx, size=3)
+            entry = engine.nested_directional(f, theta, [unit(i), unit(j), unit(k)])
+            sampled[s] = max(sampled[s], abs(entry))
+
+    r_exact = regularization_vector(f, theta, part)
+    r_sampled = regularization_vector(f, theta, part, mode="sampled", samples=30, seed=11)
+    assert np.array_equal(r_exact.values, np.power(exact, 2.0 / 3.0))
+    assert np.array_equal(r_sampled.values, np.power(sampled, 2.0 / 3.0))
+    assert np.all(r_exact.values > 0)
+
+
+def test_regularization_sampled_mode_reads_order2_rows(monkeypatch):
+    """Sampled mode costs one order-2 gradient pass per triple and builds no
+    order-3 chain in the loss's program."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nested_directional called")
+
+    monkeypatch.setattr(summaries, "nested_directional", refuse)
+    monkeypatch.setattr(engine, "nested_directional", refuse)
+    f, theta, part = _small_mlp_with_custom_groups()
+    before = engine.counter.own()
+    regularization_vector(f, theta, part, mode="sampled", samples=7)
+    used = engine.counter.own() - before
+    assert (used.passes, used.backward) == (7 * part.size, 3 * 7 * part.size)
+    chain_orders = {key[0] for _, key in f.program.derived if isinstance(key, tuple)}
+    assert chain_orders == {1, 2}
