@@ -6,10 +6,9 @@ OUT/digests.txt.  Two commits then compare with ``diff``:
     PYTHONPATH=src python scripts/identity_matrix.py OUT
 
 Cases: {quadratic, rosenbrock, mlp} x {gd, cauchy, newton, partitioned}
-without mlp x newton, at seed 2, 30 iterations and damping 0.3; mlp x
-partitioned with backtracking; and the default moons network with the
-third-order regularizer (eps 1, 4 iterations) in exact mode and in sampled
-mode with 64 samples.  Each case runs ``run``, ``inspect --at init``,
+without mlp x newton, at seed 2, 30 iterations and damping 0.3; and the
+default moons network with the third-order regularizer (eps 1, 4
+iterations) in exact mode and in sampled mode with 64 samples.  Each case runs ``run``, ``inspect --at init``,
 ``inspect --at checkpoint`` and ``check --order 3`` in-process through
 ``grouphess.cli.main``.  Wall times (``wall_time`` in trace.json) and the
 output directory (``config.out`` in manifests) change from run to run, so
@@ -49,9 +48,6 @@ def cases():
             if (kind, method) != ("mlp", "newton"):  # dense Newton at P=186 is slow
                 yield f"{kind}-{method}", {"problem": {"kind": kind}, "method": method,
                                            "seed": 2, "step": dict(STEP)}
-    yield "mlp-partitioned-backtracking", {
-        "problem": {"kind": "mlp"}, "method": "partitioned", "seed": 2,
-        "step": {**STEP, "backtracking": True}}
     for mode, extra in (("exact", {}), ("sampled", {"reg_samples": 64})):
         yield f"mlp-regularized-{mode}", {
             "problem": {"kind": "mlp"}, "method": "partitioned", "seed": 2,

@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 config error, 3 runtime abort (partial trace kept),
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
@@ -52,7 +53,7 @@ from .problems import (
     mlp_labels,
     synth_dataset,
 )
-from .summaries import pseudo_gradient, pseudo_hessian, summary_tensor, taylor_term
+from .summaries import pseudo_hessian, summary_tensor, taylor_term
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,7 +96,7 @@ DEFAULT_CONFIG = {
         "trace_json": True,
         "final_params": True,
     },
-    "step": {fld.name: fld.default for fld in fields(StepConfig) if fld.name != "ladder"},
+    "step": {fld.name: fld.default for fld in fields(StepConfig)},
     "check": {
         "order": 2,
         "directions": 5,
@@ -162,7 +163,7 @@ def load_config(path: str | None) -> dict:
             raise ConfigError("config root must be a mapping")
         if "config" in user and "result" in user:  # a run manifest
             user = user["config"]
-    cfg = _merge(DEFAULT_CONFIG, user)
+    cfg = _merge(copy.deepcopy(DEFAULT_CONFIG), user)  # the caller may edit cfg
     _validate(cfg)
     return cfg
 
@@ -323,8 +324,8 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     return EXIT_RUNTIME if result.termination.startswith("aborted") else EXIT_OK
 
 
-def _invert_with_ladder(hbar: np.ndarray, ladder) -> tuple[np.ndarray | None, dict]:
-    for eps, shifted in shift_ladder(hbar, ladder):
+def _invert_with_ladder(hbar: np.ndarray) -> tuple[np.ndarray | None, dict]:
+    for eps, shifted in shift_ladder(hbar):
         try:
             inv = np.linalg.inv(shifted)
         except np.linalg.LinAlgError:
@@ -390,7 +391,7 @@ def cmd_inspect(cfg: dict, out_dir: Path, at: str) -> int:
         _matrix_export("hbar", system.hbar, system.gbar, lab, step_stamp,
                        {"point_fingerprint": system.fingerprint})))}
 
-    inv, meta = _invert_with_ladder(system.hbar, step_config(cfg).ladder)
+    inv, meta = _invert_with_ladder(system.hbar)
     if inv is None:
         _write(out_dir / "hbar_inv.json", _json({
             "hbar_inv": None, "warning": "inversion failed even with the ladder",
@@ -490,7 +491,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         scale2 = max(float(np.max(np.abs(st2.entries))), 1e-12)
         scale1 = max(float(np.max(np.abs(st1.entries))), 1e-12)
         err = max(float(np.max(np.abs(system.hbar - st2.entries))) / scale2,
-                  float(np.max(np.abs(pseudo_gradient(f, theta0, part) - st1.entries))) / scale1)
+                  float(np.max(np.abs(system.gbar - st1.entries))) / scale1)
         record("footnote-identity", err, tol["footnote-identity"])
 
     # cost audit

@@ -7,11 +7,15 @@ nonzero) it reproduces dense Newton; with the trivial partition (S = 1) it
 reproduces Cauchy's steepest descent with exact quadratic-model step size.
 ``gd_step``, ``cauchy_step``, and dense ``newton_step`` are the baselines.
 
-Degenerate systems are handled by one fixed policy: groups with exactly zero
+The partitioned step has one damping mechanism, a ladder of increasing
+diagonal shifts eps * I on the S x S system.  Groups with exactly zero
 pseudo-gradient are dropped (their rows and columns vanish identically) and
-get eta = 0; a failed factorization or a non-descending solution climbs a
-ladder of increasing diagonal shifts; if the ladder is exhausted the step
-falls back to the Cauchy solution embedded in R^S (optional, on by default).
+get eta = 0.  A rung is accepted when its solve succeeds, descends
+(eta . gbar > 0) and moves to a finite loss no higher than the loss before
+the step; otherwise the step climbs to the next rung.  An exhausted ladder
+falls back to the Cauchy solution embedded in R^S, or to a plain gradient
+step when the total curvature is non-positive.  Dense Newton climbs the same
+ladder on the descent test alone.
 """
 
 from __future__ import annotations
@@ -57,11 +61,7 @@ DEFAULT_LADDER = tuple(1e-8 * 10.0 ** k for k in range(17))
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed beyond recovery; carries the system diagnostics."""
-
-    def __init__(self, message: str, system: PseudoSystem | None = None) -> None:
-        super().__init__(message)
-        self.system = system
+    """Dense Newton's solve failed beyond recovery, or its budget was exceeded."""
 
 
 class NonFiniteLossError(ValueError):
@@ -74,17 +74,14 @@ class StepConfig:
 
     ``damping`` scales every second-order displacement (1.0 keeps the raw
     update); ``regularization_eps`` switches on the third-order diagonal
-    regularizer; the ladder entries are tried in order when a solve fails or
-    produces a non-descent direction.
+    regularizer.  The shifts tried when a solve fails, does not descend or
+    raises the loss are the fixed ``DEFAULT_LADDER``.
     """
 
     damping: float = 1.0
     regularization_eps: float = 0.0
-    ladder: tuple[float, ...] = DEFAULT_LADDER
-    cauchy_on_failure: bool = True
     max_iterations: int = 100
     grad_tolerance: float = 1e-8
-    backtracking: bool = False
     reg_mode: str = "exact"
     reg_samples: int = 256
     dense_budget: int = 512
@@ -98,10 +95,6 @@ class StepConfig:
             raise ValueError(f"reg_mode '{self.reg_mode}' invalid (exact, sampled)")
         if self.reg_samples < 1:
             raise ValueError("reg_samples must be at least 1")
-        ladder = tuple(float(x) for x in self.ladder)
-        if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(x <= 0 for x in ladder):
-            raise ValueError("ladder must be strictly increasing and positive")
-        object.__setattr__(self, "ladder", ladder)
 
 
 @dataclass(frozen=True)
@@ -146,20 +139,21 @@ def _sym_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def shift_ladder(m: np.ndarray, ladder: Sequence[float]):
-    """Yield (None, m), then (eps, m + eps * I) for each ladder rung."""
+def shift_ladder(m: np.ndarray):
+    """Yield (None, m), then (eps, m + eps * I) for each rung of DEFAULT_LADDER."""
     yield None, m
     eye = np.eye(m.shape[0])
-    for eps in ladder:
+    for eps in DEFAULT_LADDER:
         yield eps, m + eps * eye
 
 
-def _ladder_solve(m: np.ndarray, b: np.ndarray, cfg: StepConfig):
-    """Solve m x = b, requiring descent (x . b > 0); climb the shift ladder
-    on failure.  Returns (x, eps_used) or (None, None)."""
-    for eps, shifted in shift_ladder(m, cfg.ladder):
+def _ladder_solve(m: np.ndarray, b: np.ndarray, accept=None):
+    """Solve m x = b, requiring descent (x . b > 0) and ``accept(x)`` when
+    given; climb the shift ladder otherwise.  Returns (x, eps_used) or
+    (None, None)."""
+    for eps, shifted in shift_ladder(m):
         x = _sym_solve(shifted, b)
-        if x is not None and float(x @ b) > 0.0:
+        if x is not None and float(x @ b) > 0.0 and (accept is None or accept(x)):
             return x, eps
     return None, None
 
@@ -171,14 +165,15 @@ def _format_dropped(dropped: Sequence[int], total: int) -> str:
 
 
 def solve_pseudo_system(system: PseudoSystem, cfg: StepConfig | None = None,
-                        r: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+                        r: np.ndarray | None = None, accept=None) -> tuple[np.ndarray, str]:
     """Per-group learning rates solving (hbar + eps * Diag(r)) eta = gbar.
 
     Groups with exactly zero pseudo-gradient are dropped with eta = 0 (their
-    hbar rows and columns are identically zero).  A failed factorization or a
-    non-descent solution climbs the shift ladder; an exhausted ladder returns
-    the Cauchy solution (all entries g.g / g.H.g, both recoverable from the
-    system) when the fallback is enabled, otherwise raises SolverError.
+    hbar rows and columns are identically zero).  A failed factorization, a
+    non-descent solution or one that ``accept(eta)`` rejects climbs the shift
+    ladder; an exhausted ladder returns the Cauchy solution (all entries
+    g.g / g.H.g, both recoverable from the system), or eta = 1 when the total
+    curvature is non-positive.
     """
     cfg = cfg or StepConfig()
     s_count = system.size
@@ -198,7 +193,11 @@ def solve_pseudo_system(system: PseudoSystem, cfg: StepConfig | None = None,
         r = np.asarray(r, dtype=np.float64)
         m = m + cfg.regularization_eps * np.diag(r[active])
 
-    x, eps_used = _ladder_solve(m, b, cfg)
+    def admits(x):
+        eta[active] = x
+        return accept(eta)
+
+    x, eps_used = _ladder_solve(m, b, None if accept is None else admits)
     if x is not None:
         eta[active] = x
         if eps_used is not None:
@@ -207,20 +206,15 @@ def solve_pseudo_system(system: PseudoSystem, cfg: StepConfig | None = None,
             return eta, _format_dropped(dropped, s_count)
         return eta, "clean"
 
-    if cfg.cauchy_on_failure:
-        denom = float(np.sum(system.hbar))  # = g^T H g
-        num = float(np.sum(gbar))           # = g^T g
-        if denom > 0.0:
-            eta[:] = num / denom
-            return eta, "cauchy-fallback"
-        # non-positive total curvature: same remedy as cauchy_step, a plain
-        # gradient step (eta = 1 makes the update damping * g)
-        eta[:] = 1.0
-        return eta, "gd-fallback"
-    raise SolverError(
-        f"pseudo-system solve failed after the full ladder (S={s_count}, "
-        f"|gbar|={np.linalg.norm(gbar):.3e}, |hbar|={np.linalg.norm(system.hbar):.3e})",
-        system)
+    denom = float(np.sum(system.hbar))  # = g^T H g
+    num = float(np.sum(gbar))           # = g^T g
+    if denom > 0.0:
+        eta[:] = num / denom
+        return eta, "cauchy-fallback"
+    # non-positive total curvature: same remedy as cauchy_step, a plain
+    # gradient step (eta = 1 makes the update damping * g)
+    eta[:] = 1.0
+    return eta, "gd-fallback"
 
 
 # ---------------------------------------------------------------------------
@@ -234,51 +228,64 @@ def _as_pv(theta) -> ParamVector:
     return ParamVector.flat(np.asarray(theta, dtype=np.float64))
 
 
-# A rate rule maps (f, theta, g, cfg, part) to (displacement, eta, status):
-# the step moves theta to theta - displacement, or stays put when the
-# displacement is None.  ``g`` is the gradient at theta, computed by the caller.
+# A rate rule maps (f, theta, g, cfg, part, loss) to (displacement, eta,
+# status, loss_after): the step moves theta to theta - displacement, or stays
+# put when the displacement is None.  ``g`` and ``loss`` are the gradient and
+# the loss at theta, computed by the caller; ``loss_after`` is the loss at the
+# new point when the rule has already evaluated it, else None.
 
 
-def _partitioned_rule(f, theta, g, cfg, part):
+def _partitioned_rule(f, theta, g, cfg, part, loss):
     system = pseudo_hessian(f, theta, part, g)
     r = None
     if cfg.regularization_eps > 0.0:
         r = np.asarray(regularization_vector(
             f, theta, part, mode=cfg.reg_mode, samples=cfg.reg_samples))
-    eta, status = solve_pseudo_system(system, cfg, r)
-    return cfg.damping * g * broadcast(eta, part), eta, status
+    accepted = []
+
+    def lowers(eta):
+        """The rise test: a rung's step must reach a finite loss no higher
+        than the loss before it."""
+        after = evaluate(f, theta.with_values(theta.values - cfg.damping * g * broadcast(eta, part)))
+        if not (math.isfinite(after) and after <= loss):
+            return False
+        accepted.append(after)
+        return True
+
+    eta, status = solve_pseudo_system(system, cfg, r, lowers)
+    return cfg.damping * g * broadcast(eta, part), eta, status, accepted[0] if accepted else None
 
 
-def _cauchy_rule(f, theta, g, cfg, part):
+def _cauchy_rule(f, theta, g, cfg, part, loss):
     gg = float(g @ g)
     if gg == 0.0:
-        return None, [0.0], "clean"
+        return None, [0.0], "clean", None
     ghg = float(g @ gradient_of_nested(f, theta, [g]))
     if ghg <= 0.0:
-        return cfg.damping * g, [cfg.damping], "gd-fallback"
+        return cfg.damping * g, [cfg.damping], "gd-fallback", None
     step_size = gg / ghg
-    return step_size * g, [step_size], "clean"
+    return step_size * g, [step_size], "clean", None
 
 
-def _newton_rule(f, theta, g, cfg, part):
+def _newton_rule(f, theta, g, cfg, part, loss):
     p = theta.size
     if p > cfg.dense_budget:
         raise SolverError(
             f"dense Newton assembles the full Hessian; P={p} exceeds the "
             f"budget of {cfg.dense_budget}")
     if float(g @ g) == 0.0:
-        return None, [cfg.damping], "clean"
+        return None, [cfg.damping], "clean", None
     h = gradient_of_nested(f, theta, [np.eye(p)])  # row j: H e_j
     h = 0.5 * (h + h.T)
-    direction, eps_used = _ladder_solve(h, g, cfg)
+    direction, eps_used = _ladder_solve(h, g)
     if direction is None:
         raise SolverError("Newton system singular after the full ladder")
     status = "clean" if eps_used is None else f"regularized({eps_used:g})"
-    return cfg.damping * direction, [cfg.damping], status
+    return cfg.damping * direction, [cfg.damping], status, None
 
 
-def _gd_rule(f, theta, g, cfg, part):
-    return cfg.damping * g, [cfg.damping], "clean"
+def _gd_rule(f, theta, g, cfg, part, loss):
+    return cfg.damping * g, [cfg.damping], "clean", None
 
 
 _RULES = {"gd": _gd_rule, "cauchy": _cauchy_rule, "newton": _newton_rule,
@@ -289,23 +296,22 @@ def _step(rule, f, theta: ParamVector, g: np.ndarray, part, cfg: StepConfig,
           iteration: int, t0: float, before: PassCounts,
           loss_before: float | None = None) -> tuple[ParamVector, StepTrace]:
     """The part every step shares: evaluate (unless the caller already has
-    the loss at theta), apply the rule's displacement, evaluate again, halve
-    a rising step when ``backtracking`` is on, trace.  A non-finite loss or
-    iterate raises NonFiniteLossError before any halving.  ``t0`` and
-    ``before`` are the clock and this thread's counts taken before ``g`` was
-    computed, so the trace is charged for that gradient and the halvings."""
+    the loss at theta), apply the rule's displacement, evaluate again unless
+    the rule already did, trace.  A non-finite loss or iterate raises
+    NonFiniteLossError.  ``t0`` and ``before`` are the clock and this
+    thread's counts taken before ``g`` was computed, so the trace is charged
+    for that gradient and for every candidate the rule evaluated."""
     if loss_before is None:
         loss_before = evaluate(f, theta)
-    displacement, eta, status = rule(f, theta, g, cfg, part)
+    displacement, eta, status, loss_after = rule(f, theta, g, cfg, part, loss_before)
     if displacement is None:
         theta2, loss_after = theta, loss_before
     else:
         theta2 = theta.with_values(theta.values - displacement)
-        loss_after = evaluate(f, theta2)
+        if loss_after is None:
+            loss_after = evaluate(f, theta2)
     if not (math.isfinite(loss_after) and np.all(np.isfinite(theta2.values))):
         raise NonFiniteLossError("the step reached a non-finite loss or iterate")
-    if cfg.backtracking and loss_after > loss_before:
-        theta2, loss_after = _backtrack(f, theta, theta2, loss_before)
     eta = tuple(float(x) for x in np.atleast_1d(eta))
     return theta2, StepTrace(iteration, loss_before, loss_after, float(np.linalg.norm(g)), eta,
                              status, engine.counter.own() - before, time.perf_counter() - t0)
@@ -324,7 +330,8 @@ def partitioned_newton_step(f: Expr, theta, part: Partition,
     """One partitioned second-order step:
     theta' = theta - damping * (g * broadcast(eta)) with eta from the
     group-level system at theta.  Costs S + 1 passes: the gradient and S
-    Hessian-vector products."""
+    Hessian-vector products, plus one forward per rung whose step the rise
+    test rejected."""
     return _fresh_step(_partitioned_rule, f, theta, part, cfg, iteration)
 
 
@@ -392,22 +399,6 @@ def run(f: Expr, theta0, method: str, part: Partition | None = None,
         traces.append(trace)
         theta, loss = theta2, trace.loss_after
     return RunResult(tuple(traces), theta, termination, error)
-
-
-def _backtrack(f, theta: ParamVector, theta2: ParamVector, loss_before: float,
-               max_halvings: int = 30) -> tuple[ParamVector, float]:
-    """Halve the displacement until the loss decreases (plumbing behind the
-    ``backtracking`` flag; off by default).  Returns the accepted point and
-    its loss."""
-    delta = theta2.values - theta.values
-    scale = 1.0
-    for _ in range(max_halvings):
-        scale *= 0.5
-        cand = theta.with_values(theta.values + scale * delta)
-        loss = evaluate(f, cand)
-        if math.isfinite(loss) and loss <= loss_before:
-            return cand, loss
-    return theta, loss_before
 
 
 # ---------------------------------------------------------------------------

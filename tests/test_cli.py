@@ -27,6 +27,18 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
 
 
+def test_flags_leave_the_defaults_alone(tmp_path):
+    # a config without a check section, so --order lands in the resolved
+    # copy of the defaults, never in DEFAULT_CONFIG itself
+    pristine = yaml.safe_dump(DEFAULT_CONFIG)
+    path = write_config(tmp_path, problem={"kind": "quadratic", "size": 3})
+    assert main(["check", "--config", str(path), "--order", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert DEFAULT_CONFIG["check"]["order"] == 2
+    assert yaml.safe_dump(DEFAULT_CONFIG) == pristine
+    assert load_config(None)["check"]["order"] == 2
+
+
 def test_run_quadratic_partitioned_discrete(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -260,13 +272,14 @@ def test_check_battery_pass_count(tmp_path, problem, partition, s, order, direct
     """The battery costs: the gradient; the S + 1 pass group system; per
     order d and direction, one order-d summary tensor (C(S + d - 2, d - 1)
     passes) and one Taylor term; from order 2 on, the order-2 and order-1
-    summaries at the gradient and the pseudo-gradient (S + 2 passes)."""
+    summaries at the gradient (S + 1 passes; the order-1 one is checked
+    against the group system's own pseudo-gradient)."""
     path = write_config(tmp_path, problem=problem, partition=partition,
                         check={"directions": directions}, out=str(tmp_path / "out"))
     expected = 1 + (s + 1) + sum(directions * (math.comb(s + d - 2, d - 1) + 1)
                                  for d in range(1, order + 1))
     if order >= 2:
-        expected += s + 2
+        expected += s + 1
     before = engine.counter.own()
     assert main(["check", "--config", str(path), "--order", str(order)]) == 0
     assert (engine.counter.own() - before).passes == expected
@@ -340,7 +353,7 @@ def test_defaults_need_no_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("command, overrides", [
-    ("run", {"step": {"backtracking": "no"}}),
+    ("run", {"exports": {"trace_json": "no"}}),
     ("run", {"step": {"max_iterations": 2.9}}),
     ("run", {"seed": "abc"}),
     ("check", {"check": {"order": "x"}}),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouphess import engine
+from grouphess import engine, optimizers
 from grouphess.engine import ParamVector, const, dot, log, matmul, reduce_sum, substitute, var
 from grouphess.optimizers import (
     METHODS,
@@ -91,26 +91,21 @@ def test_solve_indefinite_climbs_ladder():
     assert float(eta @ sys2.gbar) > 0.0
 
 
-def test_solve_cauchy_fallback_and_hard_error():
-    # active block has negative curvature the tiny ladder cannot fix, while
-    # the whole-system sums still give a usable Cauchy step
-    cfg = StepConfig(ladder=(1e-300, 2e-300))
-    sys2 = _system([[-1.0, 0.0], [0.0, 4.0]], [1.0, 0.0], discrete_partition(2))
-    eta, status = solve_pseudo_system(sys2, cfg)
+def test_solve_cauchy_fallback():
+    # the active block's negative curvature (-1e9) lies beyond the top rung
+    # (1e8), so the ladder is exhausted, while the whole-system sums still
+    # give a usable Cauchy step
+    sys2 = _system([[-1e9, 0.0], [0.0, 2e9]], [1.0, 0.0], discrete_partition(2))
+    eta, status = solve_pseudo_system(sys2)
     assert status == "cauchy-fallback"
-    assert np.allclose(eta, [1.0 / 3.0, 1.0 / 3.0])  # sum(gbar) / sum(hbar)
-
-    with pytest.raises(SolverError, match="ladder"):
-        solve_pseudo_system(sys2, StepConfig(ladder=(1e-300, 2e-300), cauchy_on_failure=False))
+    assert np.array_equal(eta, [1e-9, 1e-9])  # sum(gbar) / sum(hbar)
 
     # negative total curvature: even the Cauchy formula is unusable, so the
     # fallback degrades to a plain gradient step (eta = 1)
-    sys1 = _system([[-1.0]], [1.0], trivial_partition(2))
-    eta, status = solve_pseudo_system(sys1, cfg)
+    sys1 = _system([[-1e9]], [1.0], trivial_partition(2))
+    eta, status = solve_pseudo_system(sys1)
     assert status == "gd-fallback"
     assert np.array_equal(eta, [1.0])
-    with pytest.raises(SolverError, match="ladder"):
-        solve_pseudo_system(sys1, StepConfig(ladder=(1e-300,), cauchy_on_failure=False))
 
 
 def test_solve_regularized_with_r():
@@ -209,8 +204,6 @@ def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(damping=0.0)
     with pytest.raises(ValueError):
-        StepConfig(ladder=(1e-3, 1e-3))
-    with pytest.raises(ValueError):
         StepConfig(regularization_eps=-1.0)
     with pytest.raises(ValueError, match="reg_mode"):
         StepConfig(reg_mode="bogus")
@@ -265,41 +258,32 @@ def test_run_aborts_on_evaluation_error_keeping_the_trace():
     assert np.array_equal(result.theta_final.values, [0.5])
 
 
-def test_backtracking_halves_overshooting_steps():
-    # damping 1.5 overshoots along the curvature-2 axis: the loss rises
-    # without backtracking, and one halving per step restores descent
-    f = quadratic_expr(np.diag([1.0, 2.0]))
-    theta0 = ParamVector.flat([1.0, 1.0])
-    steps = 6
+def test_partitioned_steps_never_raise_the_loss():
+    # without the rise test this recipe's steps rise nine times and end at a
+    # loss of ~1.9e6; the ladder now climbs until each step descends
+    spec = MlpSpec(widths=(2, 8, 8, 8, 2), seed=2)
+    f, theta0 = make_mlp(spec, synth_dataset("moons", 100, seed=2))
+    part = canonical_partition(theta0.shapes, mlp_labels(spec.widths))
+    cfg = StepConfig(damping=0.3, max_iterations=50, grad_tolerance=0.0)
 
-    def cfg(backtracking):
-        return StepConfig(damping=1.5, max_iterations=steps, grad_tolerance=0.0,
-                          backtracking=backtracking)
-
-    plain = run(f, theta0, "gd", cfg=cfg(False))
-    assert all(tr.loss_after > tr.loss_before for tr in plain.traces)
-
-    def single_steps(f, theta, method, cfg):
-        # the single-step functions share run's step, backtracking included
+    def single_steps(f, theta, method, part, cfg):
+        # the single-step functions share run's step, rise test included
         traces = []
         for it in range(cfg.max_iterations):
-            theta, trace = gd_step(f, theta, cfg, iteration=it)
+            theta, trace = partitioned_newton_step(f, theta, part, cfg, iteration=it)
             traces.append(trace)
         return RunResult(tuple(traces), theta, "max-iterations")
 
     for drive in (run, single_steps):
         before = engine.counter.snapshot()
-        result = drive(f, theta0, "gd", cfg=cfg(True))
+        result = drive(f, theta0, "partitioned", part, cfg)
         used = engine.counter.snapshot() - before
-        # the halvings' forwards are charged to the steps that made them
+        # the rejected candidates' forwards are charged to their steps
         for field in ("forward", "backward", "passes", "sweeps"):
             assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
-        assert result.termination == "max-iterations"
-        assert len(result.traces) == steps
+        assert len(result.traces) == 50
         assert all(tr.loss_after <= tr.loss_before for tr in result.traces), drive
-        # the halved gd step scales the axes by 1 - 0.75 and 1 - 1.5 per step
-        assert np.allclose(result.theta_final.values, [0.25 ** steps, (-0.5) ** steps],
-                           rtol=1e-13, atol=0.0)
+        assert result.traces[-1].loss_after < result.traces[0].loss_before
         assert result.traces[-1].loss_after == engine.evaluate(f, result.theta_final)
 
 
@@ -503,21 +487,38 @@ def test_run_traces_account_for_every_pass(method):
         assert sum(getattr(tr.passes, field) for tr in result.traces) == getattr(used, field)
 
 
-def test_run_carries_the_loss_across_iterations():
+def test_run_carries_the_loss_across_iterations(monkeypatch):
     spec = MlpSpec(widths=(2, 8, 8, 8, 2), seed=2)
     f, theta0 = make_mlp(spec, synth_dataset("moons", 100, seed=0))
     part = canonical_partition(theta0.shapes, mlp_labels(spec.widths))
+    rejected = []  # per step, the candidates the rise test turned down
+    solve = optimizers.solve_pseudo_system
+
+    def spy(system, cfg, r, accept):
+        verdicts = []
+
+        def counted(eta):
+            verdicts.append(accept(eta))
+            return verdicts[-1]
+
+        out = solve(system, cfg, r, counted)
+        rejected.append(verdicts.count(False))
+        return out
+
+    monkeypatch.setattr(optimizers, "solve_pseudo_system", spy)
     before = engine.counter.snapshot()
     result = run(f, theta0, "partitioned", part,
                  StepConfig(damping=0.3, max_iterations=30, grad_tolerance=0.0))
     assert len(result.traces) == 30
     traces = result.traces
     assert all(a.loss_after == b.loss_before for a, b in zip(traces, traces[1:]))
-    # gradient, loss before, S HVPs, loss after; later steps start from the
-    # loss the previous step ended with
-    assert traces[0].passes.forward == part.size + 3
-    assert all(tr.passes.forward == part.size + 2 for tr in traces[1:])
-    assert (engine.counter.snapshot() - before).forward == 301
+    # gradient, loss before, S HVPs, one forward per rejected candidate and
+    # the accepted one's, which is the loss after; later steps start from
+    # the loss the previous step ended with
+    assert len(rejected) == 30 and sum(rejected) > 0
+    assert traces[0].passes.forward == part.size + 3 + rejected[0]
+    assert all(tr.passes.forward == part.size + 2 + k for tr, k in zip(traces[1:], rejected[1:]))
+    assert (engine.counter.snapshot() - before).forward == 301 + sum(rejected)
 
 
 # serialization ------------------------------------------------------------------
