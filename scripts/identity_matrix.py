@@ -8,7 +8,12 @@ OUT/digests.txt.  Two commits then compare with ``diff``:
 Cases: {quadratic, rosenbrock, mlp} x {gd, cauchy, newton, partitioned}
 without mlp x newton, at seed 2, 30 iterations and damping 0.3; and the
 default moons network with the third-order regularizer (eps 1, 4
-iterations) in exact mode and in sampled mode with 64 samples.  Each case runs ``run``, ``inspect --at init``,
+iterations) in exact mode and in sampled mode with 64 samples.  Then the
+failure paths: a negative eigenvalue bound, a one-point dataset, exact
+regularization of a (2, 16, 16, 2) network (groups over 64 parameters), a
+discrete partition of a size-101 quadratic (S^3 over the budget at order 3),
+and a partition file that is JSON but no partition, which the script writes
+next to its configs.  Each case runs ``run``, ``inspect --at init``,
 ``inspect --at checkpoint`` and ``check --order 3`` in-process through
 ``grouphess.cli.main``.  Wall times (``wall_time`` in trace.json) and the
 output directory (``config.out`` in manifests) change from run to run, so
@@ -41,8 +46,9 @@ COMMANDS = {
 }
 
 
-def cases():
-    """(name, config) pairs of the matrix, in a fixed order."""
+def cases(configs: Path):
+    """(name, config) pairs of the matrix, in a fixed order; a config may
+    name a file in ``configs``."""
     for kind in ("quadratic", "rosenbrock", "mlp"):
         for method in ("gd", "cauchy", "newton", "partitioned"):
             if (kind, method) != ("mlp", "newton"):  # dense Newton at P=186 is slow
@@ -53,6 +59,16 @@ def cases():
             "problem": {"kind": "mlp"}, "method": "partitioned", "seed": 2,
             "step": {"max_iterations": 4, "damping": 0.3, "regularization_eps": 1.0,
                      "reg_mode": mode, **extra}}
+    yield "quadratic-negative-eig-lo", {"problem": {"kind": "quadratic", "eig_lo": -1.0}}
+    yield "mlp-one-point", {"problem": {"kind": "mlp", "dataset": {"n": 1}}}
+    yield "mlp-wide-regularized-exact", {
+        "problem": {"kind": "mlp", "widths": [2, 16, 16, 2]}, "seed": 2,
+        "step": {"max_iterations": 4, "damping": 0.3, "regularization_eps": 1.0}}
+    yield "quadratic-discrete-101", {"problem": {"kind": "quadratic", "size": 101},
+                                     "partition": "discrete", "seed": 2,
+                                     "step": {"max_iterations": 2, "damping": 0.3}}
+    yield "partition-file-malformed", {"problem": {"kind": "quadratic"},
+                                       "partition": f"file:{configs / 'malformed-partition.json'}"}
 
 
 def digest(path: Path) -> str:
@@ -85,10 +101,12 @@ def main() -> None:
     parser.add_argument("out", type=Path, help="output directory (digests.txt goes here)")
     args = parser.parse_args()
 
+    configs = args.out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    (configs / "malformed-partition.json").write_text('{"groups": 5}', encoding="utf-8")
     lines = []
-    for name, config in cases():
-        config_path = args.out / "configs" / f"{name}.yaml"
-        config_path.parent.mkdir(parents=True, exist_ok=True)
+    for name, config in cases(configs):
+        config_path = configs / f"{name}.yaml"
         config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
         for label, argv in COMMANDS.items():
             out_dir = args.out / name / label

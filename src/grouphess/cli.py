@@ -53,7 +53,7 @@ from .problems import (
     mlp_labels,
     synth_dataset,
 )
-from .summaries import pseudo_hessian, summary_tensor, taylor_term
+from .summaries import BudgetError, pseudo_hessian, summary_tensor, taylor_term
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,8 +187,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"dataset.{key}: expected {type(default).__name__}, got {ds[key]!r}")
     if ds["kind"] == "csv" and not ds["path"]:
         raise ConfigError("dataset.kind csv requires dataset.path")
-    if ds["kind"] == "csv" and not Path(ds["path"]).exists():
-        raise ConfigError(f"dataset file not found: {ds['path']}")
+    if ds["kind"] == "csv" and not Path(ds["path"]).is_file():
+        raise ConfigError(f"no dataset file at {ds['path']}")
     if part.startswith("file:") and not Path(part[5:]).exists():
         raise ConfigError(f"partition file not found: {part[5:]}")
     if not 1 <= cfg["check"]["order"] <= 3:
@@ -218,29 +218,28 @@ def build_problem(cfg: dict):
     dataset or None)."""
     prob = cfg["problem"]
     seed = int(cfg["seed"])
-    if prob["kind"] == "quadratic":
-        spec = QuadraticSpec(float(prob["eig_lo"]), float(prob["eig_hi"]), seed)
-        try:
-            q = QuadraticProblem.generate(int(prob["size"]), spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        start = q.minimizer + np.random.default_rng([seed, 1]).normal(size=q.A.shape[0])
-        return q.expr(), ParamVector.flat(start), None, None
-    if prob["kind"] == "rosenbrock":
-        return make_rosenbrock(), ParamVector.flat([-1.2, 1.0]), None, None
-
-    ds_cfg = prob["dataset"]
-    ds_seed = seed if ds_cfg["seed"] is None else int(ds_cfg["seed"])
-    if ds_cfg["kind"] == "csv":
-        data = load_csv(ds_cfg["path"], CsvSchema(label_column=ds_cfg["label_column"]))
-    else:
-        noise = ds_cfg["noise"]
-        data = synth_dataset(ds_cfg["kind"], int(ds_cfg["n"]), ds_seed,
-                             None if noise is None else float(noise))
     try:
+        if prob["kind"] == "quadratic":
+            spec = QuadraticSpec(float(prob["eig_lo"]), float(prob["eig_hi"]), seed)
+            q = QuadraticProblem.generate(int(prob["size"]), spec)
+            start = q.minimizer + np.random.default_rng([seed, 1]).normal(size=q.A.shape[0])
+            return q.expr(), ParamVector.flat(start), None, None
+        if prob["kind"] == "rosenbrock":
+            return make_rosenbrock(), ParamVector.flat([-1.2, 1.0]), None, None
+
+        ds_cfg = prob["dataset"]
+        ds_seed = seed if ds_cfg["seed"] is None else int(ds_cfg["seed"])
+        if ds_cfg["kind"] == "csv":
+            data = load_csv(ds_cfg["path"], CsvSchema(label_column=ds_cfg["label_column"]))
+        else:
+            noise = ds_cfg["noise"]
+            data = synth_dataset(ds_cfg["kind"], int(ds_cfg["n"]), ds_seed,
+                                 None if noise is None else float(noise))
         spec = MlpSpec(tuple(prob["widths"]), prob["activation"], prob["loss"],
                        seed, float(prob["init_scale"]))
         f, theta0 = make_mlp(spec, data)
+    except DataError:  # malformed dataset contents are a runtime abort
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return f, theta0, mlp_labels(spec.widths), data
@@ -256,7 +255,7 @@ def build_partition(cfg: dict, theta0: ParamVector, labels) -> Partition:
         return canonical_partition(theta0.shapes, labels)
     try:
         part = Partition.from_json(Path(spec[5:]).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"partition file {spec[5:]}: {exc}") from exc
     if part.total != theta0.size:
         raise ConfigError(
@@ -584,7 +583,7 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             return cmd_inspect(cfg, out_dir, args.at)
         return cmd_check(cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, BudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, SolverError, EvaluationError) as exc:

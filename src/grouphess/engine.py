@@ -32,15 +32,16 @@ root's plan, and per thread the values at the thread's latest point
 ``theta``.  So a step's loss, gradient and S Hessian-vector products at one
 theta compute each such value once, and a dropped loss frees all of it.
 
-Every other value is freed as soon as its last consumer has run.
+Every other value is freed as soon as its last consumer has run; the plan
+lists, when it is built, which values die after each node.
 :func:`gradient_of_nested` runs single direction vectors in one plain pass.
 It also takes its directions as (B, P) stacks and evaluates the
 direction-dependent nodes for many rows at once, each value carrying a
 leading stack axis; one evaluator serves both, and row b is bitwise equal
 to the call with the stacks' row b as plain vectors.  A stack is cut into
-sweeps whose width is read from the graph's static shapes: the number of
-direction-dependent elements of one row, divided by the most of them alive
-at once under last-use freeing.  So a sweep never holds more
+sweeps whose width the plan also fixes from the graph's static shapes: the
+number of direction-dependent elements of one row, divided by the most of
+them alive at once under last-use freeing.  So a sweep never holds more
 direction-dependent memory than one row would without freeing.  The
 counter's ``forward``, ``backward`` and ``passes`` stay logical: every row
 counts as one call, whether its values were computed, reused or stacked;
@@ -54,7 +55,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -421,23 +422,23 @@ def _adopt(f: Expr, key, root: Expr) -> Expr:
     return root
 
 
-class _Plan:
-    """How to evaluate one root: the topological order (inputs before
-    consumers); parallel to it, whether each node is theta-only (a const,
-    the theta leaf, or a node whose inputs are all theta-only); and for each
-    node that is not, the id of its last consumer in the order (None for the
-    root).  ``frees`` and ``width`` are derived from these by
-    :func:`_lifetimes` when a root with such nodes is first evaluated."""
+class _Plan(NamedTuple):
+    """How to evaluate one root, complete when :func:`_planned` builds it:
+    the topological order (inputs before consumers); parallel to it, whether
+    each node is theta-only (a const, the theta leaf, or a node whose inputs
+    are all theta-only); ``frees``, consumer id -> ids of the values that are
+    not theta-only and die once it has run; and the sweep ``width``, held //
+    peak rows, where held counts one row's elements that are not theta-only
+    and peak the most of them alive at once, both from static shapes."""
 
-    __slots__ = ("order", "fixed", "last", "frees", "width")
-
-    def __init__(self, order: list, fixed: tuple, last: dict) -> None:
-        self.order, self.fixed, self.last = order, fixed, last
-        self.frees = self.width = None
+    order: list
+    fixed: tuple
+    frees: dict
+    width: int
 
 
 def _planned(root: Expr) -> _Plan:
-    """The plan of ``root``, built in one walk and kept in its program."""
+    """The plan of ``root``, built whole at first use and kept in its program."""
     plans = _program(root).plans
     plan = plans.get(root.nid)
     if plan is not None:
@@ -466,37 +467,26 @@ def _planned(root: Expr) -> _Plan:
         for child in node.inputs:
             if child.nid not in seen:
                 stack.append((child, False))
-    fixed = tuple([node.nid not in last for node in order]) if last else (True,) * len(order)
-    plan = plans[root.nid] = _Plan(order, fixed, last)
-    return plan
-
-
-def _lifetimes(plan: _Plan) -> tuple[dict, int]:
-    """``frees``: consumer id -> ids of the values that die once it has run.
-    ``width``: the sweep width, ``held // peak`` rows (at least 1), where
-    ``held`` is the element count of one row's values that are not
-    theta-only and ``peak`` the most of them alive at once under last-use
-    freeing, both read from static shapes.  Computed once per plan."""
-    if plan.frees is None:
-        frees: dict[int, list] = {}
-        for nid, consumer in plan.last.items():
-            if consumer is not None:
-                frees.setdefault(consumer, []).append(nid)
-        size: dict[int, int] = {}
-        held = alive = peak = 0
-        for node, is_fixed in zip(plan.order, plan.fixed):
-            if is_fixed:
-                continue
-            n = size[node.nid] = math.prod(node.shape)
-            held += n
-            alive += n
-            if alive > peak:
-                peak = alive
-            for dead in frees.get(node.nid, ()):
-                alive -= size[dead]
-        plan.width = max(1, held // peak) if peak else 1
-        plan.frees = frees
-    return plan.frees, plan.width
+    if not last:
+        return plans.setdefault(root.nid, _Plan(order, (True,) * len(order), {}, 1))
+    fixed = tuple([node.nid not in last for node in order])
+    frees: dict[int, list] = {}
+    for nid, consumer in last.items():
+        if consumer is not None:
+            frees.setdefault(consumer, []).append(nid)
+    size: dict[int, int] = {}
+    held = alive = peak = 0
+    for node, is_fixed in zip(order, fixed):
+        if is_fixed:
+            continue
+        n = size[node.nid] = math.prod(node.shape)
+        held += n
+        alive += n
+        if alive > peak:
+            peak = alive
+        for dead in frees.get(node.nid, ()):
+            alive -= size[dead]
+    return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1))
 
 
 def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
@@ -551,26 +541,19 @@ def _eval(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
     if op == "transpose":
         return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
     if op == "reshape":
-        if a.ndim == len(x.shape):
-            return a.reshape(node.payload)
-        return a.reshape(a.shape[:1] + node.payload)
+        return a.reshape(a.shape[:a.ndim - len(x.shape)] + node.payload)
     if op == "segment":
         start, stop = node.payload
         return a[start:stop] if a.ndim == 1 else a[:, start:stop]
     if op == "embed":
         start, total = node.payload
-        if a.ndim == 1:
-            out = np.zeros(total)
-            out[start:start + a.shape[0]] = a
-        else:
-            out = np.zeros((a.shape[0], total))
-            out[:, start:start + a.shape[1]] = a
+        out = np.zeros(a.shape[:-1] + (total,))
+        out[..., start:start + a.shape[-1]] = a
         return out
-    if op == "sum":
-        axis = node.payload
-        if a.ndim == len(x.shape):
-            return np.sum(a, axis=axis)
-        return np.sum(a, axis=tuple(range(1, a.ndim)) if axis is None else axis + 1)
+    if op == "sum":  # axes count from the end, past any stack axis
+        rank = len(x.shape)
+        return np.sum(a, axis=tuple(range(-rank, 0)) if node.payload is None
+                      else node.payload - rank)
     if op == "exp":
         return np.exp(a)
     if op == "log":
@@ -583,8 +566,8 @@ def _eval(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
         return np.logaddexp(0.0, a)
     if op == "sigmoid":
         # 1/(1+exp(-x)), stable on both tails in float64
-        return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                        np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+        e = np.exp(-np.abs(a))
+        return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if op == "power":
         p = node.payload
         if not float(p).is_integer() and np.any(a < 0.0):
@@ -619,8 +602,7 @@ def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     not grow with the values other graphs stored at the same point.  Env's
     direction leaves may be plain vectors or (B, P) stacks (see ``_eval``).
     The result may be a stored array, so public callers hand out copies."""
-    plan = _planned(root)
-    frees = _lifetimes(plan)[0] if plan.last else {}
+    order, fixed, frees, _ = _planned(root)
     kept: dict[int, np.ndarray] = {}
     if PARAM in env:
         frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64),
@@ -628,7 +610,7 @@ def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
         env = {**env, PARAM: frozen}
     vals: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        for node, is_fixed in zip(plan.order, plan.fixed):
+        for node, is_fixed in zip(order, fixed):
             nid = node.nid
             if is_fixed:
                 value = kept.get(nid)
@@ -847,7 +829,7 @@ def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> 
         counter.add(forward=1, backward=backward, passes=1, sweeps=1)
         return np.array(_run(expr, env))
     rows = want[0]
-    width = _lifetimes(_planned(expr))[1]
+    width = _planned(expr).width
     out = np.empty((rows,) + expr.shape)
     for lo in range(0, rows, width):
         for k, u in enumerate(stacks, start=1):

@@ -89,6 +89,8 @@ class StepConfig:
     def __post_init__(self) -> None:
         if not self.damping > 0:
             raise ValueError("damping must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         if self.regularization_eps < 0:
             raise ValueError("regularization_eps must be non-negative")
         if self.reg_mode not in ("exact", "sampled"):

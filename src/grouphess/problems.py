@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +54,7 @@ class QuadraticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eig_lo <= self.eig_hi):
+        if not (0.0 < self.eig_lo <= self.eig_hi < math.inf):
             raise ValueError(
                 f"invalid eigenvalue range [{self.eig_lo}, {self.eig_hi}]")
 
@@ -196,8 +197,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     Rejects NaN and non-numeric cells, naming the row and column."""
     path = Path(path)
     raw = path.read_bytes()
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -275,6 +279,8 @@ class MlpSpec:
             raise ValueError(f"unknown activation '{self.activation}'")
         if self.loss not in ("mse", "softmax-cross-entropy"):
             raise ValueError(f"unknown loss '{self.loss}'")
+        if not math.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
 
     @property
     def layers(self) -> int:

@@ -47,7 +47,7 @@ DEFAULT_ENTRY_BUDGET = 10**6
 
 
 class BudgetError(ValueError):
-    """Raised when a summary tensor would exceed the entry budget."""
+    """Raised when a summary tensor or an exact regularizer exceeds its budget."""
 
 
 def _fingerprint(arr: np.ndarray) -> str:
@@ -236,7 +236,7 @@ def regularization_vector(f: Expr, theta, part: Partition, mode: str = "exact",
         raise ValueError(f"unknown mode '{mode}' (expected 'exact' or 'sampled')")
     oversized = [s for s, grp in enumerate(part.groups) if len(grp) > n_max]
     if mode == "exact" and oversized:
-        raise ValueError(
+        raise BudgetError(
             f"exact enumeration refused: group(s) {oversized} exceed "
             f"{n_max} parameters; use mode='sampled'")
     rng = np.random.default_rng(seed)

@@ -302,9 +302,11 @@ def test_partition_file_round_trip(tmp_path):
     assert trace[0].endswith("eta_1,eta_2")
 
 
-def test_partition_file_malformed_is_config_error(tmp_path):
+@pytest.mark.parametrize("content", ["{not json", '{"groups": 5}', "[1, 2, 3]"],
+                         ids=["not-json", "groups-not-a-list", "not-a-mapping"])
+def test_partition_file_malformed_is_config_error(tmp_path, content):
     pfile = tmp_path / "part.json"
-    pfile.write_text("{not json")
+    pfile.write_text(content)
     path = write_config(
         tmp_path,
         problem={"kind": "quadratic", "size": 4},
@@ -364,12 +366,29 @@ def test_defaults_need_no_config_file(tmp_path):
     ("check", {"check": {"directions": 0}}),
     ("run", {"problem": {"kind": "mlp", "dataset": {"seed": 1.5}}}),
     ("run", {"problem": {"kind": "mlp", "dataset": {"noise": "loud"}}}),
+    ("run", {"problem": {"kind": "quadratic", "eig_lo": -1.0}}),
+    ("run", {"problem": {"kind": "quadratic", "eig_lo": float("nan")}}),
+    ("run", {"problem": {"kind": "quadratic", "eig_hi": float("inf")}}),
+    ("run", {"problem": {"kind": "mlp", "dataset": {"n": 1}}}),
+    ("run", {"problem": {"kind": "mlp", "init_scale": float("nan")}}),
+    ("run", {"problem": {"kind": "mlp", "dataset": {"kind": "csv", "path": "."}}}),
+    ("run", {"step": {"max_iterations": -3}}),
+    # budget refusals: S^3 > 10^6, and exact regularizer groups over 64 parameters
+    ("check", {"problem": {"kind": "quadratic", "size": 101}, "partition": "discrete",
+               "check": {"order": 3}}),
+    ("run", {"problem": {"kind": "mlp", "widths": [2, 16, 16, 2]},
+             "step": {"regularization_eps": 1.0}}),
+    ("inspect --at checkpoint", {"problem": {"kind": "mlp", "widths": [2, 16, 16, 2]},
+                                 "step": {"regularization_eps": 1.0}}),
 ], ids=["bool-as-string", "int-as-float", "seed-as-string", "order-as-string",
         "directions-as-string", "tolerance-as-word", "unknown-reg-mode", "zero-reg-samples",
-        "zero-directions", "dataset-seed-as-float", "dataset-noise-as-word"])
+        "zero-directions", "dataset-seed-as-float", "dataset-noise-as-word",
+        "negative-eig-lo", "nan-eig-lo", "inf-eig-hi", "one-point-dataset", "nan-init-scale",
+        "dataset-path-is-a-directory", "negative-max-iterations", "check-over-budget",
+        "run-exact-regularizer-over-budget", "inspect-exact-regularizer-over-budget"])
 def test_mistyped_config_values_are_config_errors(tmp_path, capsys, command, overrides):
     config = {"problem": {"kind": "quadratic", "size": 3}, "out": str(tmp_path / "out")}
     path = write_config(tmp_path, **{**config, **overrides})
-    assert main([command, "--config", str(path)]) == 2
+    assert main(command.split() + ["--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -140,6 +140,10 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(DataError, match="empty"):
         load_csv(p, CsvSchema(label_column="label"))
 
+    p.write_bytes(b"x1,x2,label\n1.0,\xff\xfe,0\n")
+    with pytest.raises(DataError, match="bad.csv: not UTF-8"):
+        load_csv(p, CsvSchema(label_column="label"))
+
 
 def test_csv_three_rows(tmp_path):
     p = tmp_path / "three.csv"

@@ -46,6 +46,10 @@ def _problem(name):
         return f, xstar
     if name == "rosenbrock":
         return make_rosenbrock(), np.array([-1.2, 1.0])
+    if name == "scalar-sums":  # derivative graphs that sum rank-0 values
+        theta = var(PARAM, (4,))
+        s = reduce_sum(engine.tanh(theta))
+        return engine.exp(reduce_sum(s * s)) + reduce_sum(s * theta), np.linspace(-0.5, 0.5, 4)
     return _mlp(activation=name)[:2]
 
 
@@ -55,7 +59,7 @@ def _derivative_graph(f, p, d):
 
 
 def _width(f, p, d):
-    return engine._lifetimes(engine._planned(_derivative_graph(f, p, d)))[1]
+    return engine._planned(_derivative_graph(f, p, d)).width
 
 
 def _unstacked(expr, theta, dirs):
@@ -65,7 +69,7 @@ def _unstacked(expr, theta, dirs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(["quadratic", "rosenbrock", "tanh", "softplus"]),
+@given(name=st.sampled_from(["quadratic", "rosenbrock", "scalar-sums", "tanh", "softplus"]),
        d=st.sampled_from([1, 2]),
        rows=st.sampled_from(["one", "width", "width+1", "S+3"]),
        seed=st.integers(0, 2**16))
@@ -208,7 +212,7 @@ def _moons_hvp_graphs():
 def _held_and_peak(plan):
     """Direction-dependent elements of one row, and the most of them alive
     at once when each is dropped after its last consumer."""
-    frees, _ = engine._lifetimes(plan)
+    frees = plan.frees
     size, alive, peak = {}, 0, 0
     for node, fixed in zip(plan.order, plan.fixed):
         if fixed:
@@ -228,7 +232,7 @@ def test_sweep_width_keeps_a_sweep_within_one_unfreed_row():
     for widths, d, expr in _moons_hvp_graphs():
         plan = engine._planned(expr)
         held, peak = _held_and_peak(plan)
-        width = engine._lifetimes(plan)[1]
+        width = plan.width
         assert width >= 1 and width * peak <= held < (width + 1) * peak, (widths, d)
         if d == 1 and len(widths) == 5:  # the benchmark's moons networks
             assert width == 5, widths
