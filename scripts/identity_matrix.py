@@ -12,12 +12,14 @@ iterations) in exact mode and in sampled mode with 64 samples.  Then the
 failure paths: a negative eigenvalue bound, a one-point dataset, exact
 regularization of a (2, 16, 16, 2) network (groups over 64 parameters), a
 discrete partition of a size-101 quadratic (S^3 over the budget at order 3),
-and a partition file that is JSON but no partition, which the script writes
-next to its configs.  Each case runs ``run``, ``inspect --at init``,
-``inspect --at checkpoint`` and ``check --order 3`` in-process through
-``grouphess.cli.main``.  Wall times (``wall_time`` in trace.json) and the
-output directory (``config.out`` in manifests) change from run to run, so
-they are dropped before hashing.
+a partition file that is JSON but no partition, which the script writes
+next to its configs, three non-finite config values (a NaN regularization
+eps, an infinite damping, a NaN moons noise), and a softmax network whose
+logits overflow, so that its curvature is non-finite.  Each case runs
+``run``, ``inspect --at init``, ``inspect --at checkpoint`` and ``check
+--order 3`` in-process through ``grouphess.cli.main``.  Wall times
+(``wall_time`` in trace.json) and the output directory (``config.out`` in
+manifests) change from run to run, so they are dropped before hashing.
 """
 
 import argparse
@@ -69,6 +71,11 @@ def cases(configs: Path):
                                      "step": {"max_iterations": 2, "damping": 0.3}}
     yield "partition-file-malformed", {"problem": {"kind": "quadratic"},
                                        "partition": f"file:{configs / 'malformed-partition.json'}"}
+    yield "nan-regularization-eps", {"step": {"regularization_eps": float("nan")}}
+    yield "inf-damping", {"step": {"damping": float("inf")}}
+    yield "mlp-nan-noise", {"problem": {"kind": "mlp", "dataset": {"noise": float("nan")}}}
+    yield "mlp-nonfinite-curvature", {"problem": {"kind": "mlp", "loss": "softmax-cross-entropy",
+                                                  "init_scale": 10000.0}}
 
 
 def digest(path: Path) -> str:

@@ -262,6 +262,33 @@ def test_check_corrupted_tolerance_fails_and_names_check(tmp_path, capsys):
     assert "FAIL gradient-fd" in capsys.readouterr().out
 
 
+# softmax logits of order 1e4 overflow, so every derivative is non-finite
+NONFINITE_CURVATURE = {"kind": "mlp", "widths": [2, 3, 2], "loss": "softmax-cross-entropy",
+                       "init_scale": 10000.0, "dataset": {"n": 20}}
+
+
+def test_check_fails_on_nonfinite_summaries(tmp_path):
+    path = write_config(tmp_path, problem=NONFINITE_CURVATURE, out=str(tmp_path / "out"))
+    assert main(["check", "--config", str(path)]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    results = {c["check"]: c for c in report["checks"]}
+    for name in ("sum-collapse", "symmetry"):
+        assert not results[name]["passed"]
+        assert math.isnan(results[name]["max_error"])
+
+
+def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path):
+    path = write_config(tmp_path, problem=NONFINITE_CURVATURE, out=str(tmp_path / "out"))
+    assert main(["inspect", "--config", str(path), "--at", "init"]) == 0
+    out = tmp_path / "out"
+    assert not np.all(np.isfinite(json.loads((out / "hbar.json").read_text())["hbar"]))
+    inv = json.loads((out / "hbar_inv.json").read_text())
+    assert inv["hbar_inv"] is None
+    assert inv["warning"] == "inversion failed even with the ladder"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["hashes"]) == {"hbar"}
+
+
 @pytest.mark.parametrize("problem, partition, s, order, directions", [
     ({"kind": "quadratic", "size": 5}, "discrete", 5, 3, 5),
     ({"kind": "quadratic", "size": 4}, "trivial", 1, 2, 3),
@@ -373,6 +400,9 @@ def test_defaults_need_no_config_file(tmp_path):
     ("run", {"problem": {"kind": "mlp", "init_scale": float("nan")}}),
     ("run", {"problem": {"kind": "mlp", "dataset": {"kind": "csv", "path": "."}}}),
     ("run", {"step": {"max_iterations": -3}}),
+    ("run", {"step": {"regularization_eps": float("nan")}}),
+    ("run", {"step": {"damping": float("inf")}}),
+    ("run", {"problem": {"kind": "mlp", "dataset": {"noise": float("nan")}}}),
     # budget refusals: S^3 > 10^6, and exact regularizer groups over 64 parameters
     ("check", {"problem": {"kind": "quadratic", "size": 101}, "partition": "discrete",
                "check": {"order": 3}}),
@@ -384,7 +414,8 @@ def test_defaults_need_no_config_file(tmp_path):
         "directions-as-string", "tolerance-as-word", "unknown-reg-mode", "zero-reg-samples",
         "zero-directions", "dataset-seed-as-float", "dataset-noise-as-word",
         "negative-eig-lo", "nan-eig-lo", "inf-eig-hi", "one-point-dataset", "nan-init-scale",
-        "dataset-path-is-a-directory", "negative-max-iterations", "check-over-budget",
+        "dataset-path-is-a-directory", "negative-max-iterations", "nan-regularization-eps",
+        "inf-damping", "nan-dataset-noise", "check-over-budget",
         "run-exact-regularizer-over-budget", "inspect-exact-regularizer-over-budget"])
 def test_mistyped_config_values_are_config_errors(tmp_path, capsys, command, overrides):
     config = {"problem": {"kind": "quadratic", "size": 3}, "out": str(tmp_path / "out")}

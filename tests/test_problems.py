@@ -3,7 +3,7 @@ import pytest
 
 from grouphess import engine
 from grouphess.engine import ParamVector, evaluate, gradient
-from grouphess.fd import fd_gradient, fd_hessian
+from grouphess.fd import fd_gradient, fd_hessian, fd_nested_directional
 from grouphess.partition import canonical_partition
 from grouphess.problems import (
     CsvSchema,
@@ -22,8 +22,6 @@ from grouphess.problems import (
     synth_dataset,
 )
 from grouphess.summaries import taylor_term
-
-from oracles import fd_third_directional
 
 
 # quadratics ------------------------------------------------------------------
@@ -100,6 +98,17 @@ def test_synth_dataset_moons_labels_and_balance():
     assert set(np.unique(ds.targets)) == {0, 1}
     counts = np.bincount(ds.targets)
     assert abs(int(counts[0]) - int(counts[1])) <= 1
+
+
+def test_synth_dataset_noisy_moons():
+    noisy = synth_dataset("moons", 40, seed=3, noise=0.1)
+    again = synth_dataset("moons", 40, seed=3, noise=0.1)
+    clean = synth_dataset("moons", 40, seed=3)
+    assert np.array_equal(noisy.features, again.features)
+    assert np.array_equal(noisy.targets, again.targets)
+    assert not np.array_equal(noisy.features, clean.features)
+    assert noisy.provenance["noise"] == 0.1
+    assert clean.provenance["noise"] == 0.0
 
 
 def test_synth_dataset_invalid_kind():
@@ -204,7 +213,7 @@ def test_mlp_third_order_matches_finite_differences():
     u = rng.normal(size=theta0.size)
     u /= np.linalg.norm(u)
     exact = taylor_term(f, theta0, u, 3)
-    approx = fd_third_directional(f, theta0.values, u, h=1e-2)
+    approx = fd_nested_directional(f, theta0.values, [u, u, u], h=1e-2)
     assert abs(exact - approx) <= 1e-3 * (1.0 + abs(exact))
 
 
