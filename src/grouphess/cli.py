@@ -390,6 +390,8 @@ def cmd_inspect(cfg: dict, out_dir: Path, at: str) -> int:
 
     inv, meta = _invert_with_ladder(system.hbar)
     if inv is None:
+        if not np.all(np.isfinite(system.hbar)):
+            print("inspect: hbar is not finite; no inverse was written", file=sys.stderr)
         _write(out_dir / "hbar_inv.json", _json({
             "hbar_inv": None, "warning": "inversion failed even with the ladder",
             "step": step_stamp, "labels": lab}))

@@ -46,6 +46,20 @@ direction-dependent memory than one row would without freeing.  The
 counter's ``forward``, ``backward`` and ``passes`` stay logical: every row
 counts as one call, whether its values were computed, reused or stacked;
 ``sweeps`` is the physical count.
+
+Rows are folded where that pays.  A masked direction is zero outside one
+tensor, so a row whose nonzeros lie at each level k in one tensor range
+[a, b) of a ``segment(theta, a, b)`` runs on the graph :func:`substitute`
+folds with _uk set to ``embed(v_k, a, P)``: only what v_k can reach.  The
+key, one whole tensor's range per level, stays put when a masked gradient
+has zeros at its edges; each folded graph is built at the first call that
+needs it and kept in the program.  The full plan's static shapes decide:
+rows fold only at a grain (elements per direction-dependent node) of at
+least ``FOLD_GRAIN``, where numpy kernels, not dispatch, dominate.  Graphs
+without tensor ranges and calls with a row across a tensor boundary run
+unfolded.  Folding drops ``0 * x`` terms: rows on finite inputs stay
+bitwise equal, but a non-finite x no longer makes NaN, and a zero may
+change its sign.
 """
 
 from __future__ import annotations
@@ -371,24 +385,71 @@ def param_tensors(theta: Expr, shapes: Sequence[tuple]) -> list[Expr]:
     return out
 
 
-def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
-    """Rebuild ``f`` with every variable leaf ``name`` replaced by
-    ``replacement`` (which may itself reference other variables)."""
-    memo: dict[int, Expr] = {}
+_ZERO_OF_ZERO = frozenset({"neg", "transpose", "reshape", "sum", "embed", "segment", "add"})
+
+
+def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
+    """Rebuild ``f`` with every variable leaf named in ``leaves`` replaced
+    by its value (which may itself reference other variables), dropping
+    structural zeros in the same pass: ``segment`` of an ``embed`` is the
+    embedded vector over its range and zero off it, and moves into a
+    rebuilt ``add``, ``mul`` or ``neg`` of same-shape or scalar operands;
+    ``mul`` and ``matmul`` of a zero, and ``add`` or a linear op of zeros
+    alone, are zero; ``add`` of a zero and a full-shape operand is that
+    operand; other zeros become zero constants.  Kept nodes keep their
+    inputs' order."""
+    memo: dict[int, Expr | None] = {}  # node id -> rebuilt node, None for a zero
+    cuts: dict[tuple, Expr | None] = {}
+
+    def cut(x: Expr, start: int, stop: int) -> Expr | None:
+        """``segment(x, start, stop)``, folded where x was rebuilt."""
+        key, op, shape = (x.nid, start, stop), x.op, (stop - start,)
+        if key not in cuts:
+            out = Expr("segment", (x,), (start, stop), shape)
+            if x.nid in memo:  # a node of f: nothing in it folds
+                pass
+            elif op == "embed":
+                a, b = x.payload[0], x.payload[0] + x.inputs[0].shape[0]
+                out = x.inputs[0] if (a, b) == (start, stop) else (
+                    None if stop <= a or b <= start else out)
+            elif op == "neg" or op in ("add", "mul") and all(
+                    i.shape in (x.shape, ()) for i in x.inputs):
+                out = build(op, tuple(i if i.shape == () else cut(i, start, stop)
+                                      for i in x.inputs), None, shape)
+            cuts[key] = out
+        return cuts[key]
+
+    def build(op: str, inputs: tuple, payload, shape: tuple, shapes=None) -> Expr | None:
+        """The node ``op(inputs)`` folded, None for a zero; ``shapes`` are
+        the inputs' static shapes, by default all the result's."""
+        zero = [x is None for x in inputs]
+        if any(zero):
+            if op in ("mul", "matmul") or all(zero) and op in _ZERO_OF_ZERO:
+                return None
+            if op == "add" and inputs[zero[0]].shape == shape:
+                return inputs[zero[0]]  # the operand that is not zero
+            inputs = tuple(const(np.zeros(shapes[k] if shapes else shape)) if x is None else x
+                           for k, x in enumerate(inputs))
+        if op == "segment":
+            return cut(inputs[0], *payload)
+        return Expr(op, inputs, payload, shape)
 
     for node in _planned(f).order:
-        if node.op == "var" and node.payload == name:
-            if node.shape != replacement.shape:
+        if node.op == "var" and node.payload in leaves:
+            new = leaves[node.payload]
+            if node.shape != new.shape:
                 raise EvaluationError(
-                    f"substitute: variable {name} has shape {node.shape}, "
-                    f"replacement has {replacement.shape}")
-            memo[node.nid] = replacement
-        elif any(i.nid in memo and memo[i.nid] is not i for i in node.inputs):
-            new_inputs = tuple(memo.get(i.nid, i) for i in node.inputs)
-            memo[node.nid] = Expr(node.op, new_inputs, node.payload, node.shape)
+                    f"substitute: variable {node.payload} has shape {node.shape}, "
+                    f"replacement has {new.shape}")
+        elif any(memo[i.nid] is not i for i in node.inputs):
+            inputs = tuple(memo[i.nid] for i in node.inputs)
+            new = build(node.op, inputs, node.payload, node.shape,
+                        tuple(i.shape for i in node.inputs))
         else:
-            memo[node.nid] = node
-    return memo[f.nid]
+            new = node
+        memo[node.nid] = new
+    out = memo[f.nid]
+    return const(np.zeros(f.shape)) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +459,13 @@ def substitute(f: Expr, name: str, replacement: Expr) -> Expr:
 @dataclass(eq=False)
 class _Program:
     """What the engine derives from one loss: graphs by (root id, variable
-    name or (chain order, parameter shape)), plans by root id, and the
-    per-thread store of :func:`_point_values`.  It and its roots are one
-    garbage cycle."""
+    name, (chain order, parameter shape) or tensor range per direction
+    level), plans and tensor ranges by root id, and the per-thread store of
+    :func:`_point_values`.  It and its roots are one garbage cycle."""
 
     derived: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
+    ranges: dict = field(default_factory=dict)
     point: threading.local = field(default_factory=threading.local)
 
 
@@ -427,14 +489,16 @@ class _Plan(NamedTuple):
     the topological order (inputs before consumers); parallel to it, whether
     each node is theta-only (a const, the theta leaf, or a node whose inputs
     are all theta-only); ``frees``, consumer id -> ids of the values that are
-    not theta-only and die once it has run; and the sweep ``width``, held //
+    not theta-only and die once it has run; the sweep ``width``, held //
     peak rows, where held counts one row's elements that are not theta-only
-    and peak the most of them alive at once, both from static shapes."""
+    and peak the most of them alive at once, both from static shapes; and
+    ``grain``, held // the number of nodes that are not theta-only."""
 
     order: list
     fixed: tuple
     frees: dict
     width: int
+    grain: int
 
 
 def _planned(root: Expr) -> _Plan:
@@ -468,7 +532,7 @@ def _planned(root: Expr) -> _Plan:
             if child.nid not in seen:
                 stack.append((child, False))
     if not last:
-        return plans.setdefault(root.nid, _Plan(order, (True,) * len(order), {}, 1))
+        return plans.setdefault(root.nid, _Plan(order, (True,) * len(order), {}, 1, 0))
     fixed = tuple([node.nid not in last for node in order])
     frees: dict[int, list] = {}
     for nid, consumer in last.items():
@@ -486,7 +550,8 @@ def _planned(root: Expr) -> _Plan:
             peak = alive
         for dead in frees.get(node.nid, ()):
             alive -= size[dead]
-    return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1))
+    return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
+                                            held // len(size)))
 
 
 def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
@@ -602,7 +667,7 @@ def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     not grow with the values other graphs stored at the same point.  Env's
     direction leaves may be plain vectors or (B, P) stacks (see ``_eval``).
     The result may be a stored array, so public callers hand out copies."""
-    order, fixed, frees, _ = _planned(root)
+    order, fixed, frees, _, _ = _planned(root)
     kept: dict[int, np.ndarray] = {}
     if PARAM in env:
         frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64),
@@ -811,12 +876,57 @@ def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     return out
 
 
+# Rows fold (see the module docstring) at a plan grain of at least this.
+# Loss, gradient and h̄ per fresh point on moons MLPs (process time, one
+# BLAS thread): folding costs +40% at grain 379 (P=186), breaks even near
+# 1.5k-1.9k, and saves 15-30% at 2.1k-3.9k and 2x at 12.4k-54.7k.
+FOLD_GRAIN = 2048
+
+
+def _folds(expr: Expr, stacks: list) -> list | None:
+    """The rows of the (B, P) ``stacks`` grouped by the tensor range per
+    level that holds their nonzeros, as (``expr`` folded to those ranges,
+    the rows' indices, the rows cut to the ranges); None when ``expr`` has
+    no tensor ranges or a row's nonzeros are in no one range.  Any range
+    that holds a row's nonzeros folds it exactly, so ranges may overlap."""
+    program = _program(expr)
+    spans = program.ranges.get(expr.nid)
+    if spans is None:
+        found = sorted({node.payload for node in _planned(expr).order if node.op == "segment"
+                        and node.inputs[0].op == "var" and node.inputs[0].payload == PARAM})
+        spans = program.ranges[expr.nid] = np.array(found, dtype=np.int64).reshape(-1, 2)
+    if not len(spans):
+        return None
+    starts, stops = spans[:, 0], spans[:, 1]
+    levels = []
+    for u in stacks:  # an all-zero row goes with the first range
+        nonzero = u != 0
+        hit = nonzero.any(axis=1)
+        lo = np.where(hit, nonzero.argmax(axis=1), starts[0])
+        hi = np.where(hit, u.shape[1] - nonzero[:, ::-1].argmax(axis=1), starts[0])
+        level = np.minimum(np.searchsorted(stops, lo, side="right"), len(stops) - 1)
+        if np.any((lo < starts[level]) | (hi > stops[level])):
+            return None
+        levels.append(level)
+    keys = np.stack(levels, axis=1)
+    groups = []
+    for key in np.unique(keys, axis=0):
+        index = np.flatnonzero((keys == key).all(axis=1))
+        ranges = tuple((int(starts[i]), int(stops[i])) for i in key)
+        graph = program.derived.get((expr.nid, ranges))
+        if graph is None:
+            leaves = {_dir_name(k): embed(var(_dir_name(k), (b - a,)), a, u.shape[1])
+                      for k, ((a, b), u) in enumerate(zip(ranges, stacks), start=1)}
+            graph = _adopt(expr, ranges, substitute(expr, leaves))
+        groups.append((graph, index, [u[index, a:b] for u, (a, b) in zip(stacks, ranges)]))
+    return groups
+
+
 def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
     """Evaluate ``expr`` with the direction leaves _u1.. bound to ``dirs``,
-    which are all single vectors or all (B, P) stacks with one B: vectors in
-    one plain pass, stacks in sweeps of at most the plan's width rows.  Each
-    row counts as one logical pass of depth ``backward``, each sweep as one
-    physical sweep."""
+    which are all single vectors or all (B, P) stacks with one B, by
+    :func:`_swept` on ``expr`` or, at a grain of ``FOLD_GRAIN`` or more, on
+    each group of :func:`_folds` with the rows in their order."""
     pshape = np.asarray(env[PARAM]).shape
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
@@ -824,11 +934,31 @@ def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> 
     for k, u in enumerate(stacks, start=1):
         if u.shape != want:
             raise EvaluationError(f"direction {k} has shape {u.shape}, expected {want}")
+    groups = None
+    if stacks and _planned(expr).grain >= FOLD_GRAIN:
+        groups = _folds(expr, [u[None] for u in stacks] if single else stacks)
+    if groups is None:
+        return _swept(expr, env, stacks, single, backward)
+    if single:
+        (graph, _, parts), = groups
+        return _swept(graph, env, [u[0] for u in parts], True, backward)
+    out = np.empty(want[:1] + expr.shape)
+    for graph, index, parts in groups:
+        out[index] = _swept(graph, env, parts, False, backward)
+    return out
+
+
+def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int) -> np.ndarray:
+    """``expr`` with _u1.. bound to ``stacks``: vectors in one plain pass,
+    (B, n) stacks in sweeps of at most the plan's width rows.  Each row
+    counts as one logical pass of depth ``backward``, each sweep as one
+    physical sweep."""
+    for k, u in enumerate(stacks, start=1):
         env[_dir_name(k)] = u
     if single:
         counter.add(forward=1, backward=backward, passes=1, sweeps=1)
         return np.array(_run(expr, env))
-    rows = want[0]
+    rows = stacks[0].shape[0]
     width = _planned(expr).width
     out = np.empty((rows,) + expr.shape)
     for lo in range(0, rows, width):

@@ -211,7 +211,7 @@ def _scaled_run(f, theta0, part, alphas, cfg):
     for s, grp in enumerate(part.groups):
         a[list(grp)] = alphas[s]
     t = var("theta", (p,))
-    f_tilt = substitute(f, "theta", t * const(1.0 / a))
+    f_tilt = substitute(f, {"theta": t * const(1.0 / a)})
     base = run(f, theta0, "partitioned", part, cfg)
     tilt = run(f_tilt, ParamVector.flat(a * theta0.values), "partitioned", part, cfg)
     return base, tilt, a

@@ -277,9 +277,10 @@ def test_check_fails_on_nonfinite_summaries(tmp_path):
         assert math.isnan(results[name]["max_error"])
 
 
-def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path):
+def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path, capsys):
     path = write_config(tmp_path, problem=NONFINITE_CURVATURE, out=str(tmp_path / "out"))
     assert main(["inspect", "--config", str(path), "--at", "init"]) == 0
+    assert "inspect: hbar is not finite; no inverse was written\n" in capsys.readouterr().err
     out = tmp_path / "out"
     assert not np.all(np.isfinite(json.loads((out / "hbar.json").read_text())["hbar"]))
     inv = json.loads((out / "hbar_inv.json").read_text())

@@ -226,7 +226,7 @@ def test_misshaped_theta_is_an_evaluation_error():
 def test_substitute_rescales_parameters():
     f = reduce_sum(quad_diag12())
     t = var("theta", (2,))
-    scaled = engine.substitute(f, "theta", t * const(np.array([0.5, 2.0])))
+    scaled = engine.substitute(f, {"theta": t * const(np.array([0.5, 2.0]))})
     # evaluating the substituted graph at x equals f at (0.5 x1, 2 x2)
     assert evaluate(scaled, np.array([2.0, 0.5])) == evaluate(f, np.array([1.0, 1.0]))
 

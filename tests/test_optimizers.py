@@ -377,7 +377,7 @@ def test_model_decrease_dominates_cauchy(seed):
 def reparameterized(f, p, scale_per_coord):
     # loss of the rescaled variable: L~(x) = L(x / a)
     t = var("theta", (p,))
-    return substitute(f, "theta", t * const(1.0 / scale_per_coord))
+    return substitute(f, {"theta": t * const(1.0 / scale_per_coord)})
 
 
 def test_reparameterization_invariance_quadratic():
