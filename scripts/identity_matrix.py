@@ -20,6 +20,13 @@ logits overflow, so that its curvature is non-finite.  Each case runs
 --order 3`` in-process through ``grouphess.cli.main``.  Wall times
 (``wall_time`` in trace.json) and the output directory (``config.out`` in
 manifests) change from run to run, so they are dropped before hashing.
+
+Artifacts write a non-finite number as JSON null.  Against a commit that
+still wrote bare NaN and Infinity tokens, exactly these lines differ:
+rosenbrock-gd/run/manifest.json (an infinite ``final_grad_norm``), and of
+mlp-nonfinite-curvature, run/manifest.json, inspect-init/hbar.json,
+inspect-init/manifest.json (which holds hbar.json's hash) and
+check/report.json.
 """
 
 import argparse

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -37,6 +36,7 @@ from .optimizers import (
     StepConfig,
     run,
     shift_ladder,
+    strict_json,
     traces_to_csv,
     traces_to_json,
 )
@@ -275,7 +275,7 @@ def _write(path: Path, text: str) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return strict_json(obj) + "\n"
 
 
 def cmd_run(cfg: dict, out_dir: Path) -> int:

@@ -25,12 +25,28 @@ and per calling thread (``own``):
 * ``sweeps``   - number of derivative-graph evaluations actually run: a
   stack of B directions counts B passes but may run as fewer sweeps.
 
-What the engine derives from a loss lives in one program on the loss's
-root, which every graph derived from the loss joins: those graphs, each
-root's plan, and per thread the values at the thread's latest point
-(compared by theta's bytes) of the nodes that depend on nothing but
-``theta``.  So a step's loss, gradient and S Hessian-vector products at one
-theta compute each such value once, and a dropped loss frees all of it.
+What the engine derives from a graph lives in one program on the graph's
+root, which every graph derived from it joins: those graphs, each root's
+plan, and per thread the values at the thread's latest point of the
+point-only nodes, those that depend on no direction leaf _u<k>.  A point is
+theta and every other variable the caller passes, compared by bytes, plus
+the arrays a bound root carries, compared by identity.  So a step's loss,
+gradient and S Hessian-vector products at one point compute each such value
+once.  Only the graph's root holds its program; derived roots join it
+through weak references.  So a dropped loss frees all of it at once, by
+reference counting, and a derived graph that outlives its loss starts a
+fresh program.  The one exception is a root that a graph derived from it
+reads again (a root tanh, exp or sigmoid, whose derivative reads the node
+itself): that cycle waits for the garbage collector.
+
+:func:`bind` makes a root that carries read-only arrays for some variable
+leaves; graph-level calls on it work on its graph and bind their results
+alike.  A network's loss is its graph over a row count bound to the rows
+(:func:`grouphess.problems.make_mlp`), so every minibatch of one size shares
+one graph and one program, and a new batch derives and plans nothing.  Two
+bound losses of one graph used alternately at one theta are different
+points, so each switch computes the point-only values again.  A bound root
+cannot be part of a larger graph.
 
 Every other value is freed as soon as its last consumer has run; the plan
 lists, when it is built, which values die after each node.
@@ -69,6 +85,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -100,6 +117,7 @@ __all__ = [
     "sigmoid",
     "power",
     "param_tensors",
+    "bind",
     "substitute",
     "evaluate",
     "gradient",
@@ -397,7 +415,9 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
     ``mul`` and ``matmul`` of a zero, and ``add`` or a linear op of zeros
     alone, are zero; ``add`` of a zero and a full-shape operand is that
     operand; other zeros become zero constants.  Kept nodes keep their
-    inputs' order."""
+    inputs' order.  A bound ``f`` gives its graph's result, bound alike."""
+    if f.op == "bind":
+        return _bound(substitute(f.inputs[0], leaves), f.payload)
     memo: dict[int, Expr | None] = {}  # node id -> rebuilt node, None for a zero
     cuts: dict[tuple, Expr | None] = {}
 
@@ -434,7 +454,7 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
             return cut(inputs[0], *payload)
         return Expr(op, inputs, payload, shape)
 
-    for node in _planned(f).order:
+    for node in itertools.chain(_planned(f).order, (f,)):
         if node.op == "var" and node.payload in leaves:
             new = leaves[node.payload]
             if node.shape != new.shape:
@@ -458,10 +478,12 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
 
 @dataclass(eq=False)
 class _Program:
-    """What the engine derives from one loss: graphs by (root id, variable
+    """What the engine derives from one graph: graphs by (root id, variable
     name, (chain order, parameter shape) or tensor range per direction
     level), plans and tensor ranges by root id, and the per-thread store of
-    :func:`_point_values`.  It and its roots are one garbage cycle."""
+    :func:`_point_values`.  The graph's root holds it; each derived root
+    joins it through a weak reference, so no root and its program form a
+    cycle, and a dropped root frees its program by reference counting."""
 
     derived: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
@@ -470,29 +492,73 @@ class _Program:
 
 
 def _program(root: Expr) -> _Program:
-    """The program of ``root``, begun on first use.  Threads that race here
-    may begin two; that costs work, not results, as values are keyed by node."""
-    if getattr(root, "program", None) is None:
-        object.__setattr__(root, "program", _Program())
-    return root.program
+    """The program of ``root``, begun on first use, and begun afresh for a
+    derived root that outlived its graph's.  Threads that race here may
+    begin two; that costs work, not results, as values are keyed by node."""
+    program = getattr(root, "program", None)
+    if type(program) is weakref.ref:
+        program = program()
+    if program is None:
+        program = _Program()
+        object.__setattr__(root, "program", program)
+    return program
 
 
 def _adopt(f: Expr, key, root: Expr) -> Expr:
-    """Keep ``root``, built fresh from ``f``, under ``key`` in f's program, which it joins."""
-    object.__setattr__(root, "program", f.program)
-    f.program.derived[(f.nid, key)] = root
+    """Keep ``root``, built fresh from ``f``, under ``key`` in f's program,
+    which it joins through a weak reference unless it is some graph's root."""
+    program = _program(f)
+    if getattr(root, "program", None) is None:
+        object.__setattr__(root, "program", weakref.ref(program))
+    program.derived[(f.nid, key)] = root
     return root
+
+
+def bind(f: Expr, arrays: Mapping[str, ArrayLike]) -> Expr:
+    """``f`` with the variable leaves named in ``arrays`` bound to the
+    arrays, made read-only as :func:`const` makes its value, so a caller
+    must not write to them afterwards: a root that the evaluation entry
+    points take like any other.  Its graph and its program are f's, so
+    every binding of one graph shares its derived graphs, plans and folded
+    graphs, and graph-level calls on it (``gradient_expr``, ``substitute``,
+    ...) return f's result bound to the same arrays.  A bound root cannot
+    be part of a larger graph: evaluating or differentiating one that holds
+    it raises."""
+    if f.op == "bind":
+        raise EvaluationError("bind: the root is bound already")
+    frozen = {}
+    for name, value in arrays.items():
+        if name == PARAM or _is_direction(name):
+            raise EvaluationError(f"bind: '{name}' is the parameter or a direction leaf")
+        frozen[name] = np.asarray(value, dtype=np.float64)
+        frozen[name].setflags(write=False)
+    return _bound(f, MappingProxyType(frozen))
+
+
+def _bound(f: Expr, arrays: Mapping[str, np.ndarray]) -> Expr:
+    """The root binding ``f`` to ``arrays`` as they are."""
+    node = Expr("bind", (f,), arrays, f.shape)
+    object.__setattr__(node, "program", _program(f))
+    return node
+
+
+def _unbind(f: Expr) -> tuple[Expr, Mapping[str, np.ndarray] | None]:
+    """The graph of ``f`` and its bound arrays, None when it binds none."""
+    return (f.inputs[0], f.payload) if f.op == "bind" else (f, None)
 
 
 class _Plan(NamedTuple):
     """How to evaluate one root, complete when :func:`_planned` builds it:
-    the topological order (inputs before consumers); parallel to it, whether
-    each node is theta-only (a const, the theta leaf, or a node whose inputs
-    are all theta-only); ``frees``, consumer id -> ids of the values that are
-    not theta-only and die once it has run; the sweep ``width``, held //
-    peak rows, where held counts one row's elements that are not theta-only
-    and peak the most of them alive at once, both from static shapes; and
-    ``grain``, held // the number of nodes that are not theta-only."""
+    the topological order of the nodes below the root (inputs before
+    consumers; the root, which comes last, is left out so that its plan does
+    not hold it); parallel to that order followed by the root, whether each
+    node is point-only (a const, a leaf that is no direction leaf _u<k>, or
+    a node whose inputs are all point-only); ``frees``, consumer id -> ids of
+    the values that are not point-only and die once it has run; the sweep
+    ``width``, held // peak rows, where held counts one row's elements that
+    are not point-only and peak the most of them alive at once, both from
+    static shapes; and ``grain``, held // the number of nodes that are not
+    point-only."""
 
     order: list
     fixed: tuple
@@ -502,20 +568,23 @@ class _Plan(NamedTuple):
 
 
 def _planned(root: Expr) -> _Plan:
-    """The plan of ``root``, built whole at first use and kept in its program."""
+    """The plan of ``root`` (of its graph, for a bound root), built whole at
+    first use and kept in its program."""
+    if root.op == "bind":
+        root = root.inputs[0]
     plans = _program(root).plans
     plan = plans.get(root.nid)
     if plan is not None:
         return plan
     order: list[Expr] = []
-    last: dict[int, int | None] = {}  # node that is not theta-only -> last consumer
+    last: dict[int, int | None] = {}  # node that is not point-only -> last consumer
     seen: set[int] = set()
     stack: list[tuple[Expr, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             if not node.inputs:
-                if node.op != "const" and node.payload != PARAM:
+                if node.op == "var" and _is_direction(node.payload):
                     last[node.nid] = None
             elif last:
                 for child in node.inputs:
@@ -526,13 +595,17 @@ def _planned(root: Expr) -> _Plan:
             continue
         if node.nid in seen:
             continue
+        if node.op == "bind":
+            raise EvaluationError("a bound root cannot be part of a larger graph; "
+                                  "build the graph on its unbound graph and bind that")
         seen.add(node.nid)
         stack.append((node, True))
         for child in node.inputs:
             if child.nid not in seen:
                 stack.append((child, False))
     if not last:
-        return plans.setdefault(root.nid, _Plan(order, (True,) * len(order), {}, 1, 0))
+        order.pop()
+        return plans.setdefault(root.nid, _Plan(order, (True,) * (len(order) + 1), {}, 1, 0))
     fixed = tuple([node.nid not in last for node in order])
     frees: dict[int, list] = {}
     for nid, consumer in last.items():
@@ -550,6 +623,7 @@ def _planned(root: Expr) -> _Plan:
             peak = alive
         for dead in frees.get(node.nid, ()):
             alive -= size[dead]
+    order.pop()
     return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
                                             held // len(size)))
 
@@ -643,39 +717,53 @@ def _eval(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
     raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
 
 
-def _point_values(theta: np.ndarray, point: threading.local) -> tuple[np.ndarray, dict]:
-    """The read-only copy of ``theta`` and the theta-only values at it in
-    ``point``, a program's per-thread store of one entry: (theta's shape and
-    bytes, that copy, {node id -> value}).  Points compare by bytes, so -0.0
-    and 0.0 differ; a new point drops the old values before computing any."""
-    key = (theta.shape, theta.tobytes())
+def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray] | None,
+                  point: threading.local) -> tuple[dict, dict]:
+    """The point of a pass and the point-only values stored at it in
+    ``point``, a program's per-thread store of one entry: (bound, env's
+    point leaves by name, shape and bytes, the point, {node id -> value}).
+    The point is read-only copies of env's leaves that are no direction
+    leaves, and the arrays ``bound`` to the root.  Bound arrays compare by
+    identity, which the entry keeps valid by holding them; env's leaves by
+    bytes, so -0.0 and 0.0 differ.  A new point drops the old values before
+    computing any."""
+    key = []
+    for name, value in env.items():
+        if name == PARAM or not _is_direction(name):
+            value = np.asarray(value, dtype=np.float64)
+            key.append((name, value.shape, value.tobytes()))
     entry = getattr(point, "entry", None)
-    if entry is not None and entry[0] == key:
-        return entry[1], entry[2]
+    if entry is not None and entry[0] is bound and entry[1] == key:
+        return entry[2], entry[3]
     point.entry = None
-    frozen = theta.copy()
-    frozen.setflags(write=False)
+    if bound is not None and not bound.keys().isdisjoint(env):
+        raise EvaluationError(f"variables {sorted(bound.keys() & env.keys())} are bound "
+                              "to the root and cannot be passed")
+    arrays = dict(bound or {})
+    for name, _, _ in key:
+        arrays[name] = np.array(env[name], dtype=np.float64)
+        arrays[name].setflags(write=False)
     values: dict = {}
-    point.entry = (key, frozen, values)
-    return frozen, values
+    point.entry = (bound, key, arrays, values)
+    return arrays, values
 
 
-def _run(root: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate ``root``, reusing and storing theta-only values at env's
-    theta in its program; every other value lives until its last consumer
-    has run.  A pass looks up only its own plan's nodes, so its cost does
-    not grow with the values other graphs stored at the same point.  Env's
-    direction leaves may be plain vectors or (B, P) stacks (see ``_eval``).
-    The result may be a stored array, so public callers hand out copies."""
+def _run(root: Expr, env: Mapping[str, np.ndarray],
+         bound: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+    """Evaluate the graph ``root`` with ``bound`` its bound arrays, reusing
+    and storing point-only values at the point of env and the bound arrays
+    in its program; every other value lives until its last consumer has
+    run.  A pass looks up only its own plan's nodes, so its
+    cost does not grow with the values other graphs stored at the same
+    point.  Env's direction leaves may be plain vectors or (B, P) stacks
+    (see ``_eval``).  The result may be a stored array, so public callers
+    hand out copies."""
     order, fixed, frees, _, _ = _planned(root)
-    kept: dict[int, np.ndarray] = {}
-    if PARAM in env:
-        frozen, kept = _point_values(np.asarray(env[PARAM], dtype=np.float64),
-                                     root.program.point)
-        env = {**env, PARAM: frozen}
+    arrays, kept = _point_values(env, bound, _program(root).point)
+    env = {**env, **arrays}
     vals: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        for node, is_fixed in zip(order, fixed):
+        for node, is_fixed in zip(itertools.chain(order, (root,)), fixed):
             nid = node.nid
             if is_fixed:
                 value = kept.get(nid)
@@ -699,9 +787,10 @@ def _as_env(theta) -> Mapping[str, np.ndarray]:
 
 def evaluate(f: Expr, theta) -> float:
     """Evaluate a scalar expression at ``theta`` (ParamVector, flat array,
-    or an explicit name->array environment)."""
+    or an explicit name->array environment of ``f``'s unbound leaves)."""
     counter.add(forward=1)
-    out = _run(f, _as_env(theta))
+    f, bound = _unbind(f)
+    out = _run(f, _as_env(theta), bound)
     return float(out) if out.shape == () else out.copy()
 
 
@@ -787,13 +876,15 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
     rule emits primitive nodes, so the returned graph supports further
     differentiation.  Results are kept per (f, wrt) in f's program.
     """
+    if f.op == "bind":
+        return _bound(gradient_expr(f.inputs[0], wrt, shape), f.payload)
     out = _program(f).derived.get((f.nid, wrt))
     if out is not None:
         return out
     if f.shape != ():
         raise EvaluationError(f"gradient expects a scalar expression, got shape {f.shape}")
 
-    order = _planned(f).order
+    order = [*_planned(f).order, f]
     leaves = [node for node in order if node.op == "var" and node.payload == wrt]
     if len(leaves) > 1:
         raise EvaluationError(f"expression mixes two '{wrt}' leaves of different shapes")
@@ -831,11 +922,12 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
 def gradient(f: Expr, theta) -> np.ndarray:
     """Exact reverse-mode gradient of ``f`` with respect to the parameter
     vector, evaluated at ``theta``.  One forward plus one backward sweep."""
+    f, bound = _unbind(f)
     env = _as_env(theta)
     p = np.asarray(env[PARAM]).shape
     g = gradient_expr(f, PARAM, shape=p)
     counter.add(forward=1, backward=1, passes=1, sweeps=1)
-    return np.array(_run(g, env), ndmin=1)
+    return np.array(_run(g, env, bound), ndmin=1)
 
 
 def directional_derivative(f: Expr, theta, u: ArrayLike) -> Expr:
@@ -844,6 +936,8 @@ def directional_derivative(f: Expr, theta, u: ArrayLike) -> Expr:
     ``u`` is baked in as a constant; ``theta`` fixes the expected parameter
     length (the expression remains a function of the parameter vector).
     """
+    if f.op == "bind":
+        return _bound(directional_derivative(f.inputs[0], theta, u), f.payload)
     env = _as_env(theta)
     p = np.asarray(env[PARAM]).shape
     u = np.asarray(u, dtype=np.float64)
@@ -866,6 +960,8 @@ def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     (c_{k-1}, (k, pshape)), so evaluations at new points and directions rebind
     the leaves instead of rebuilding graphs, and a call with a misshaped theta
     leaves no leaf of its shape behind for later calls."""
+    if f.op == "bind":
+        return _bound(_chain(f.inputs[0], d, pshape), f.payload)
     if d == 0:
         return f
     prev = _chain(f, d - 1, pshape)
@@ -922,9 +1018,11 @@ def _folds(expr: Expr, stacks: list) -> list | None:
     return groups
 
 
-def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
-    """Evaluate ``expr`` with the direction leaves _u1.. bound to ``dirs``,
-    which are all single vectors or all (B, P) stacks with one B, by
+def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int,
+            bound: Mapping[str, np.ndarray] | None) -> np.ndarray:
+    """Evaluate ``expr``, with ``bound`` its bound arrays and the direction
+    leaves _u1.. set to ``dirs``, which are all single vectors or all
+    (B, P) stacks with one B, by
     :func:`_swept` on ``expr`` or, at a grain of ``FOLD_GRAIN`` or more, on
     each group of :func:`_folds` with the rows in their order."""
     pshape = np.asarray(env[PARAM]).shape
@@ -938,17 +1036,18 @@ def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int) -> 
     if stacks and _planned(expr).grain >= FOLD_GRAIN:
         groups = _folds(expr, [u[None] for u in stacks] if single else stacks)
     if groups is None:
-        return _swept(expr, env, stacks, single, backward)
+        return _swept(expr, env, stacks, single, backward, bound)
     if single:
         (graph, _, parts), = groups
-        return _swept(graph, env, [u[0] for u in parts], True, backward)
+        return _swept(graph, env, [u[0] for u in parts], True, backward, bound)
     out = np.empty(want[:1] + expr.shape)
     for graph, index, parts in groups:
-        out[index] = _swept(graph, env, parts, False, backward)
+        out[index] = _swept(graph, env, parts, False, backward, bound)
     return out
 
 
-def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int) -> np.ndarray:
+def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int,
+           bound: Mapping[str, np.ndarray] | None) -> np.ndarray:
     """``expr`` with _u1.. bound to ``stacks``: vectors in one plain pass,
     (B, n) stacks in sweeps of at most the plan's width rows.  Each row
     counts as one logical pass of depth ``backward``, each sweep as one
@@ -957,7 +1056,7 @@ def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int) -> 
         env[_dir_name(k)] = u
     if single:
         counter.add(forward=1, backward=backward, passes=1, sweeps=1)
-        return np.array(_run(expr, env))
+        return np.array(_run(expr, env, bound))
     rows = stacks[0].shape[0]
     width = _planned(expr).width
     out = np.empty((rows,) + expr.shape)
@@ -966,7 +1065,7 @@ def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int) -> 
             env[_dir_name(k)] = u[lo:lo + width]
         n = min(width, rows - lo)
         counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-        out[lo:lo + n] = _run(expr, env)
+        out[lo:lo + n] = _run(expr, env, bound)
     return out
 
 
@@ -976,8 +1075,9 @@ def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
     d = len(dirs)
     if d == 0:
         return evaluate(f, theta)
+    f, bound = _unbind(f)
     env = dict(_as_env(theta))
-    return float(_sweeps(_chain(f, d, np.asarray(env[PARAM]).shape), env, dirs, d))
+    return float(_sweeps(_chain(f, d, np.asarray(env[PARAM]).shape), env, dirs, d, bound))
 
 
 def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
@@ -989,10 +1089,11 @@ def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
     then (B, P), and row b is bitwise equal to the call with each stack's
     row b.  B rows count as B passes, run in as few sweeps as the graph's
     width allows (see the module docstring)."""
+    f, bound = _unbind(f)
     env = dict(_as_env(theta))
     pshape = np.asarray(env[PARAM]).shape
     g = gradient_expr(_chain(f, len(dirs), pshape), PARAM, shape=pshape)
-    return _sweeps(g, env, dirs, len(dirs) + 1)
+    return _sweeps(g, env, dirs, len(dirs) + 1, bound)
 
 
 # ---------------------------------------------------------------------------

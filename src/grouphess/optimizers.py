@@ -422,6 +422,21 @@ def traces_to_csv(traces: Sequence[StepTrace]) -> str:
     return buf.getvalue()
 
 
+def strict_json(obj) -> str:
+    """``obj`` as indented JSON with sorted keys and every non-finite float
+    written as ``null``, so that strict parsers read it."""
+    def nulled(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: nulled(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [nulled(v) for v in x]
+        return x
+
+    return json.dumps(nulled(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def traces_to_json(traces: Sequence[StepTrace]) -> str:
     """Every StepTrace field, pass counts and wall time included."""
-    return json.dumps([asdict(t) for t in traces], indent=2, sort_keys=True)
+    return strict_json([asdict(t) for t in traces])

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import math
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,8 @@ __all__ = [
     "make_mlp",
     "mlp_shapes",
     "mlp_labels",
+    "FEATURES",
+    "TARGETS",
     "synth_dataset",
     "load_csv",
     "dataset_to_csv",
@@ -311,13 +314,56 @@ def _init_params(spec: MlpSpec) -> ParamVector:
     return ParamVector.from_tensors(tensors)
 
 
+# The leaves a network's loss graph reads its rows from: the (n, widths[0])
+# feature matrix and the (n, widths[-1]) one-hot or real targets.
+FEATURES = "_x"
+TARGETS = "_y"
+
+_networks: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+
+def _network(spec: MlpSpec, n: int) -> Expr:
+    """The loss graph of spec's network over n rows of FEATURES and
+    TARGETS, built once per (widths, activation, loss, n) while a loss bound
+    to it is alive."""
+    key = (spec.widths, spec.activation, spec.loss, n)
+    loss = _networks.get(key)
+    if loss is not None:
+        return loss
+    shapes, k = mlp_shapes(spec.widths), spec.widths[-1]
+    tensors = param_tensors(var(engine.PARAM, (sum(math.prod(s) for s in shapes),)), shapes)
+    targets = var(TARGETS, (n, k))
+
+    act = engine.tanh if spec.activation == "tanh" else engine.softplus
+    h: Expr = var(FEATURES, (n, spec.widths[0]))
+    for layer in range(spec.layers):
+        w, b = tensors[2 * layer], tensors[2 * layer + 1]
+        h = matmul(h, w) + b
+        if layer < spec.layers - 1:
+            h = act(h)
+
+    if spec.loss == "mse":
+        loss = reduce_sum((h - targets) ** 2) * (1.0 / (n * k))
+    else:
+        # mean over rows of logsumexp(z) - z[target]; plain logsumexp, smooth
+        # everywhere (can overflow for huge logits, irrelevant at this scale)
+        lse = engine.log(engine.reduce_sum(engine.exp(h), axis=1))
+        picked = engine.reduce_sum(h * targets, axis=1)
+        loss = reduce_sum(lse - picked) * (1.0 / n)
+    return _networks.setdefault(key, loss)
+
+
 def make_mlp(spec: MlpSpec, data: Dataset,
              subset: Sequence[int] | None = None) -> tuple[Expr, ParamVector]:
     """Full-batch loss of a dense network as a smooth expression, plus a
     seeded initial parameter vector with the canonical shape list.
 
     ``subset`` restricts the loss to a fixed set of rows (a frozen
-    minibatch); the default is the whole dataset.
+    minibatch); the default is the whole dataset.  The loss is the network's
+    graph for its row count, shared by every loss of the same widths,
+    activation, loss kind and row count while one is alive, bound
+    (:func:`engine.bind`) to its rows under the reserved leaf names FEATURES
+    and TARGETS.  So a new minibatch derives no graph and plans nothing.
     """
     x = data.features
     y = data.targets
@@ -340,25 +386,4 @@ def make_mlp(spec: MlpSpec, data: Dataset,
         if onehot.shape[1] != k:
             raise ValueError(f"targets have {onehot.shape[1]} columns, network has {k} outputs")
 
-    shapes = mlp_shapes(spec.widths)
-    theta0 = _init_params(spec)
-    theta = var(engine.PARAM, (theta0.size,))
-    tensors = param_tensors(theta, shapes)
-
-    act = engine.tanh if spec.activation == "tanh" else engine.softplus
-    h: Expr = const(x)
-    for layer in range(spec.layers):
-        w, b = tensors[2 * layer], tensors[2 * layer + 1]
-        h = matmul(h, w) + b
-        if layer < spec.layers - 1:
-            h = act(h)
-
-    if spec.loss == "mse":
-        loss = reduce_sum((h - const(onehot)) ** 2) * (1.0 / (n * k))
-    else:
-        # mean over rows of logsumexp(z) - z[target]; plain logsumexp, smooth
-        # everywhere (can overflow for huge logits, irrelevant at this scale)
-        lse = engine.log(engine.reduce_sum(engine.exp(h), axis=1))
-        picked = engine.reduce_sum(h * const(onehot), axis=1)
-        loss = reduce_sum(lse - picked) * (1.0 / n)
-    return loss, theta0
+    return engine.bind(_network(spec, n), {FEATURES: x, TARGETS: onehot}), _init_params(spec)

@@ -267,14 +267,22 @@ NONFINITE_CURVATURE = {"kind": "mlp", "widths": [2, 3, 2], "loss": "softmax-cros
                        "init_scale": 10000.0, "dataset": {"n": 20}}
 
 
+def _strict_json(path):
+    """A JSON artifact, parsed with the NaN and Infinity tokens refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_check_fails_on_nonfinite_summaries(tmp_path):
     path = write_config(tmp_path, problem=NONFINITE_CURVATURE, out=str(tmp_path / "out"))
     assert main(["check", "--config", str(path)]) == 4
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = _strict_json(tmp_path / "out" / "report.json")
     results = {c["check"]: c for c in report["checks"]}
     for name in ("sum-collapse", "symmetry"):
         assert not results[name]["passed"]
-        assert math.isnan(results[name]["max_error"])
+        assert results[name]["max_error"] is None  # a NaN error, written as null
 
 
 def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path, capsys):
@@ -282,11 +290,12 @@ def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path, capsys
     assert main(["inspect", "--config", str(path), "--at", "init"]) == 0
     assert "inspect: hbar is not finite; no inverse was written\n" in capsys.readouterr().err
     out = tmp_path / "out"
-    assert not np.all(np.isfinite(json.loads((out / "hbar.json").read_text())["hbar"]))
-    inv = json.loads((out / "hbar_inv.json").read_text())
+    hbar = np.array(_strict_json(out / "hbar.json")["hbar"], dtype=np.float64)  # null -> NaN
+    assert not np.all(np.isfinite(hbar))
+    inv = _strict_json(out / "hbar_inv.json")
     assert inv["hbar_inv"] is None
     assert inv["warning"] == "inversion failed even with the ladder"
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _strict_json(out / "manifest.json")
     assert set(manifest["hashes"]) == {"hbar"}
 
 

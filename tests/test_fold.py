@@ -34,6 +34,13 @@ def _wide():
     return _network()
 
 
+def _fresh_network():
+    """A wide network over a row count that no other test's loss keeps
+    alive: losses of one network and row count share one program, so this
+    one's program starts empty."""
+    return _network(n=299)
+
+
 def _full_graph(f, p, d):
     """The unfolded graph ``gradient_of_nested`` evaluates for d directions."""
     return gradient_expr(engine._chain(f, d, (p,)), PARAM, shape=(p,))
@@ -41,7 +48,8 @@ def _full_graph(f, p, d):
 
 def _full_row(f, theta, dirs):
     env = {PARAM: theta, **{engine._dir_name(k): u for k, u in enumerate(dirs, start=1)}}
-    return np.array(engine._run(_full_graph(f, theta.size, len(dirs)), env))
+    graph, bound = engine._unbind(_full_graph(f, theta.size, len(dirs)))
+    return np.array(engine._run(graph, env, bound))
 
 
 def _folded_graphs(f):
@@ -128,7 +136,7 @@ def test_summaries_and_regularizer_equal_the_full_graphs(monkeypatch):
 
 
 def test_a_row_across_a_tensor_boundary_runs_the_full_graph():
-    f, theta, part = _network()
+    f, theta, part = _fresh_network()
     u = np.zeros(theta.size)
     edge = part.groups[1][0]
     u[edge - 2:edge + 2] = 1.0
@@ -140,13 +148,14 @@ def test_a_row_across_a_tensor_boundary_runs_the_full_graph():
 
 
 def test_plain_gradient_with_a_caller_variable_above_the_grain():
-    # data bound as a caller's variable makes its nodes count as
-    # direction-dependent; with no directions there is nothing to fold
-    x = engine.var("x", (1000, 32))
+    # data passed as the caller's direction leaf _u1 makes its nodes
+    # direction-dependent, also in the plain gradient graph; with no
+    # directions there is nothing to fold
+    x = engine.var(engine._dir_name(1), (1000, 32))
     w = engine.reshape(engine.segment(engine.var(PARAM, (64,)), 0, 32), (32, 1))
     f = engine.reduce_sum(engine.tanh(engine.matmul(x, w)) ** 2)
     rng = np.random.default_rng(6)
-    env = {PARAM: rng.normal(size=64), "x": rng.normal(size=(1000, 32))}
+    env = {PARAM: rng.normal(size=64), engine._dir_name(1): rng.normal(size=(1000, 32))}
     assert engine._planned(_full_graph(f, 64, 0)).grain >= engine.FOLD_GRAIN
     g = gradient_of_nested(f, env, [])
     assert g.tobytes() == np.array(engine._run(_full_graph(f, 64, 0), env)).tobytes()
@@ -155,7 +164,7 @@ def test_plain_gradient_with_a_caller_variable_above_the_grain():
 
 def test_folded_graphs_stay_keyed_by_tensor_and_die_with_the_loss():
     start = _live_exprs()
-    f, theta0, part = _network()
+    f, theta0, part = _fresh_network()
     rng = np.random.default_rng(4)
     for _ in range(50):
         pseudo_hessian(f, theta0 + 0.3 * rng.normal(size=theta0.size), part)
@@ -192,13 +201,15 @@ def test_substitute_folds_structural_zeros():
     assert out.op == "const" and out.shape == () and float(out.payload) == 0.0
     g = engine.add(engine.segment(engine.neg(y), 2, 4), engine.const(np.ones(2)))
     folded = engine.substitute(g, {"y": wide})
-    assert sorted(node.op for node in engine._planned(folded).order) == ["add", "const", "neg", "var"]
+    # a plan's order leaves out its root
+    assert sorted([folded.op] + [node.op for node in engine._planned(folded).order]) == [
+        "add", "const", "neg", "var"]
     assert np.array_equal(engine.evaluate(folded, {"x": np.array([1.0, 2.0])}), [0.0, -1.0])
     # a zero that no rule removes becomes a zero constant of its shape
     for h, want in ((engine.add(engine.segment(y, 0, 2), engine.const(3.0)), [3.0, 3.0]),
                     (engine.tanh(engine.segment(y, 0, 2)), [0.0, 0.0])):
         folded = engine.substitute(h, {"y": wide})
-        assert "var" not in [node.op for node in engine._planned(folded).order]
+        assert "var" not in [folded.op] + [node.op for node in engine._planned(folded).order]
         assert engine.evaluate(folded, {}).tolist() == want
     with pytest.raises(engine.EvaluationError, match="replacement has"):
         engine.substitute(g, {"y": x})

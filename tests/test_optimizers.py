@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -540,3 +542,14 @@ def test_trace_csv_and_json():
     again = run(f, ParamVector.flat([1.0, 1.0]), "partitioned", discrete_partition(2),
                 StepConfig(max_iterations=3))
     assert traces_to_csv(again.traces) == text
+
+
+def test_json_writes_non_finite_values_as_null():
+    nan, inf = float("nan"), float("inf")
+    text = optimizers.strict_json({"b": [inf, 1.5, np.float64(-inf)], "a": (nan, {"c": 2})})
+    assert text == optimizers.strict_json({"a": [None, {"c": 2}], "b": [None, 1.5, None]})
+    assert "NaN" not in text and "Infinity" not in text
+    f = quadratic_expr(np.diag([1.0, 2.0]))
+    trace = run(f, ParamVector.flat([1.0, 1.0]), "gd", None, StepConfig(max_iterations=1)).traces[0]
+    rows = __import__("json").loads(traces_to_json([dataclasses.replace(trace, grad_norm=inf)]))
+    assert rows[0]["grad_norm"] is None

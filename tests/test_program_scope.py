@@ -1,5 +1,6 @@
-"""What the engine derives from a loss lives and dies with the loss, and
-each thread is charged for its own passes."""
+"""What the engine derives from a loss lives and dies with the loss, freed
+by reference counting when the loss is dropped, and each thread is charged
+for its own passes."""
 
 import gc
 import sys
@@ -8,12 +9,15 @@ import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 
 from grouphess import engine
-from grouphess.engine import Expr, evaluate, reduce_sum, var
+from grouphess.engine import Expr, evaluate, gradient_of_nested, reduce_sum, var
 from grouphess.optimizers import StepConfig, partitioned_newton_step, run
 from grouphess.partition import canonical_partition
-from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
+from grouphess.problems import (MlpSpec, QuadraticSpec, make_mlp, make_quadratic, mlp_labels,
+                                synth_dataset)
+from grouphess.summaries import summary_tensor
 
 WIDTHS = (2, 8, 8, 8, 2)
 
@@ -108,3 +112,68 @@ def test_dropped_leaves_are_released():
     del leaf, f
     gc.collect()
     assert ref() is None
+
+
+def _without_the_collector(check):
+    """Run ``check`` with the cyclic garbage collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        check()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("widths,n", [(WIDTHS, 37), ((2, 32, 32, 2), 298)])
+def test_a_dropped_loss_is_freed_at_del(widths, n):
+    # row counts that no other test uses, so nothing else holds the graph
+    def check():
+        spec = MlpSpec(widths=widths, seed=2)
+        f, theta0 = make_mlp(spec, synth_dataset("moons", n, seed=0))
+        part = canonical_partition(theta0.shapes, mlp_labels(widths))
+        partitioned_newton_step(f, theta0, part, StepConfig(damping=0.3))
+        summary_tensor(f, theta0, np.ones(theta0.size), part, 2)
+        folded = [key for key in f.program.derived if isinstance(key[1][0], tuple)]
+        assert bool(folded) == (widths != WIDTHS)  # the wide network's rows fold
+        refs = [weakref.ref(obj) for obj in (f, engine._unbind(f)[0], f.program)]
+        del f
+        assert [ref() for ref in refs] == [None, None, None]
+
+    _without_the_collector(check)
+
+
+def test_an_unbound_loss_and_a_shared_graph_are_freed_at_del():
+    def check():
+        f, c = make_quadratic(6, QuadraticSpec(seed=1))
+        gradient_of_nested(f, c + 1.0, [np.ones((3, 6))])
+        refs = [weakref.ref(f), weakref.ref(f.program)]
+        del f
+        assert [ref() for ref in refs] == [None, None]
+
+        spec, data = MlpSpec(widths=WIDTHS, seed=2), synth_dataset("moons", 1000, seed=0)
+        first, theta0 = make_mlp(spec, data, subset=range(33))
+        second = make_mlp(spec, data, subset=range(33, 66))[0]
+        gradient_of_nested(first, theta0, [np.ones(theta0.size)])
+        gradient_of_nested(second, theta0, [np.ones(theta0.size)])
+        graph = weakref.ref(engine._unbind(first)[0])
+        del first
+        assert graph() is engine._unbind(second)[0]
+        del second
+        assert graph() is None
+
+    _without_the_collector(check)
+
+
+def test_a_derived_graph_that_outlives_its_loss_starts_a_fresh_program():
+    f, c = make_quadratic(5, QuadraticSpec(seed=2))
+    x = c + 0.5
+    g = engine.gradient_expr(f)
+    want = evaluate(g, x)
+    program = weakref.ref(f.program)
+    del f
+    gc.collect()
+    assert program() is None
+    assert np.array_equal(evaluate(g, x), want)
+    assert isinstance(g.program, engine._Program)

@@ -65,7 +65,8 @@ def _width(f, p, d):
 def _unstacked(expr, theta, dirs):
     """``expr`` evaluated by the pass with 1-D directions."""
     env = {PARAM: theta, **{engine._dir_name(k): u for k, u in enumerate(dirs, start=1)}}
-    return np.array(engine._run(expr, env), ndmin=1)
+    graph, bound = engine._unbind(expr)
+    return np.array(engine._run(graph, env, bound), ndmin=1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,9 +179,9 @@ def test_single_directions_run_as_one_plain_pass(monkeypatch):
     bound = []
     run_pass = engine._run
 
-    def spy(root, env):
+    def spy(root, env, arrays):
         bound.append(env[engine._dir_name(1)].shape)
-        return run_pass(root, env)
+        return run_pass(root, env, arrays)
 
     monkeypatch.setattr(engine, "_run", spy)
     before = engine.counter.own()
@@ -209,30 +210,30 @@ def _moons_hvp_graphs():
             yield widths, d, _derivative_graph(f, theta.size, d)
 
 
-def _held_and_peak(plan):
-    """Direction-dependent elements of one row, and the most of them alive
-    at once when each is dropped after its last consumer."""
-    frees = plan.frees
+def _held_and_peak(expr):
+    """Direction-dependent elements of one row of ``expr``, and the most of
+    them alive at once when each is dropped after its last consumer."""
+    plan = engine._planned(expr)
+    frees, nodes = plan.frees, [*plan.order, engine._unbind(expr)[0]]  # the root comes last
     size, alive, peak = {}, 0, 0
-    for node, fixed in zip(plan.order, plan.fixed):
+    for node, fixed in zip(nodes, plan.fixed):
         if fixed:
             continue
         for child in node.inputs:  # a consumer never runs after its input was freed
-            assert child.nid in size or plan.fixed[plan.order.index(child)]
+            assert child.nid in size or plan.fixed[nodes.index(child)]
         size[node.nid] = math.prod(node.shape)
         alive += size[node.nid]
         peak = max(peak, alive)
         for dead in frees.get(node.nid, ()):
             alive -= size.pop(dead)
-    return sum(math.prod(node.shape) for node, fixed in zip(plan.order, plan.fixed)
+    return sum(math.prod(node.shape) for node, fixed in zip(nodes, plan.fixed)
                if not fixed), peak
 
 
 def test_sweep_width_keeps_a_sweep_within_one_unfreed_row():
     for widths, d, expr in _moons_hvp_graphs():
-        plan = engine._planned(expr)
-        held, peak = _held_and_peak(plan)
-        width = plan.width
+        held, peak = _held_and_peak(expr)
+        width = engine._planned(expr).width
         assert width >= 1 and width * peak <= held < (width + 1) * peak, (widths, d)
         if d == 1 and len(widths) == 5:  # the benchmark's moons networks
             assert width == 5, widths
@@ -241,8 +242,7 @@ def test_sweep_width_keeps_a_sweep_within_one_unfreed_row():
 def test_freed_values_bound_one_hessian_vector_product():
     f, theta, _ = _mlp((2, 64, 64, 64, 2), n=2000)
     p = theta.size
-    plan = engine._planned(_derivative_graph(f, p, 1))
-    held = 8 * sum(math.prod(node.shape) for node, fixed in zip(plan.order, plan.fixed) if not fixed)
+    held = 8 * _held_and_peak(_derivative_graph(f, p, 1))[0]
     rng = np.random.default_rng(1)
     gradient_of_nested(f, theta, [rng.normal(size=p)])  # theta-only values now stored
     u = rng.normal(size=p)
