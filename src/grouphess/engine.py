@@ -33,11 +33,9 @@ theta and every other variable the caller passes, compared by bytes, plus
 the arrays a bound root carries, compared by identity.  So a step's loss,
 gradient and S Hessian-vector products at one point compute each such value
 once.  Only the graph's root holds its program; derived roots join it
-through weak references.  So a dropped loss frees all of it at once, by
-reference counting, and a derived graph that outlives its loss starts a
-fresh program.  The one exception is a root that a graph derived from it
-reads again (a root tanh, exp or sigmoid, whose derivative reads the node
-itself): that cycle waits for the garbage collector.
+through weak references, and no derived graph holds the root.  So a
+dropped loss frees all of it at once, by reference counting, and a derived
+graph that outlives its loss starts a fresh program.
 
 :func:`bind` makes a root that carries read-only arrays for some variable
 leaves; graph-level calls on it work on its graph and bind their results
@@ -48,16 +46,20 @@ bound losses of one graph used alternately at one theta are different
 points, so each switch computes the point-only values again.  A bound root
 cannot be part of a larger graph.
 
-Every other value is freed as soon as its last consumer has run; the plan
-lists, when it is built, which values die after each node.
+A plan runs as straight-line Python generated from it, with plain
+directions or with stacks, at its first evaluation of each kind: a
+point-only node reads its stored value or computes and stores it, and
+every other value is a local deleted after its last consumer, as the plan
+lists.  The code depends on the graph's structure alone, so graphs of one
+structure share their compiled code (:func:`_generated`).
 :func:`gradient_of_nested` runs single direction vectors in one plain pass.
 It also takes its directions as (B, P) stacks and evaluates the
 direction-dependent nodes for many rows at once, each value carrying a
-leading stack axis; one evaluator serves both, and row b is bitwise equal
-to the call with the stacks' row b as plain vectors.  A stack is cut into
-sweeps whose width the plan also fixes from the graph's static shapes: the
-number of direction-dependent elements of one row, divided by the most of
-them alive at once under last-use freeing.  So a sweep never holds more
+leading stack axis; row b is bitwise equal to the call with the stacks'
+row b as plain vectors.  A stack is cut into sweeps whose width the plan
+also fixes from the graph's static shapes: the number of
+direction-dependent elements of one row, divided by the most of them alive
+at once under last-use freeing.  So a sweep never holds more
 direction-dependent memory than one row would without freeing.  The
 counter's ``forward``, ``backward`` and ``passes`` stay logical: every row
 counts as one call, whether its values were computed, reused or stacked;
@@ -71,7 +73,7 @@ key, one whole tensor's range per level, stays put when a masked gradient
 has zeros at its edges; each folded graph is built at the first call that
 needs it and kept in the program.  The full plan's static shapes decide:
 rows fold only at a grain (elements per direction-dependent node) of at
-least ``FOLD_GRAIN``, where numpy kernels, not dispatch, dominate.  Graphs
+least ``FOLD_GRAIN``, where numpy kernels, not per-call costs, dominate.  Graphs
 without tensor ranges and calls with a row across a tensor boundary run
 unfolded.  Folding drops ``0 * x`` terms: rows on finite inputs stay
 bitwise equal, but a non-finite x no longer makes NaN, and a zero may
@@ -80,12 +82,13 @@ change its sign.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from types import CodeType, FunctionType, MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -155,12 +158,8 @@ class PassCounts:
                           self.passes + other.passes, self.sweeps + other.sweeps)
 
     def __sub__(self, other: "PassCounts") -> "PassCounts":
-        return PassCounts(
-            self.forward - other.forward,
-            self.backward - other.backward,
-            self.passes - other.passes,
-            self.sweeps - other.sweeps,
-        )
+        return PassCounts(self.forward - other.forward, self.backward - other.backward,
+                          self.passes - other.passes, self.sweeps - other.sweeps)
 
 
 class PassCounter:
@@ -548,23 +547,26 @@ def _unbind(f: Expr) -> tuple[Expr, Mapping[str, np.ndarray] | None]:
 
 
 class _Plan(NamedTuple):
-    """How to evaluate one root, complete when :func:`_planned` builds it:
-    the topological order of the nodes below the root (inputs before
-    consumers; the root, which comes last, is left out so that its plan does
-    not hold it); parallel to that order followed by the root, whether each
-    node is point-only (a const, a leaf that is no direction leaf _u<k>, or
-    a node whose inputs are all point-only); ``frees``, consumer id -> ids of
-    the values that are not point-only and die once it has run; the sweep
-    ``width``, held // peak rows, where held counts one row's elements that
-    are not point-only and peak the most of them alive at once, both from
-    static shapes; and ``grain``, held // the number of nodes that are not
-    point-only."""
+    """How to evaluate one root, built whole by :func:`_planned` but for
+    ``code``: the topological order of the nodes below the root (inputs
+    before consumers; the root, which comes last, is left out so that its
+    plan does not hold it); parallel to that order followed by the root,
+    whether each node is point-only (a const, a leaf that is no direction
+    leaf _u<k>, or a node whose inputs are all point-only); ``frees``,
+    consumer id -> ids of the values that are not point-only and die once
+    it has run; the sweep ``width``, held // peak rows, where held counts
+    one row's elements that are not point-only and peak the most of them
+    alive at once, both from static shapes; ``grain``, held // the number
+    of nodes that are not point-only; (name, rank) per direction leaf; and
+    ``code``, the functions generated for plain and stacked calls."""
 
     order: list
     fixed: tuple
     frees: dict
     width: int
     grain: int
+    leaves: tuple
+    code: list
 
 
 def _planned(root: Expr) -> _Plan:
@@ -579,6 +581,7 @@ def _planned(root: Expr) -> _Plan:
     order: list[Expr] = []
     last: dict[int, int | None] = {}  # node that is not point-only -> last consumer
     seen: set[int] = set()
+    leaves: list[tuple[str, int]] = []  # (name, rank) of each direction leaf
     stack: list[tuple[Expr, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -586,6 +589,7 @@ def _planned(root: Expr) -> _Plan:
             if not node.inputs:
                 if node.op == "var" and _is_direction(node.payload):
                     last[node.nid] = None
+                    leaves.append((node.payload, len(node.shape)))
             elif last:
                 for child in node.inputs:
                     if child.nid in last:
@@ -605,7 +609,8 @@ def _planned(root: Expr) -> _Plan:
                 stack.append((child, False))
     if not last:
         order.pop()
-        return plans.setdefault(root.nid, _Plan(order, (True,) * (len(order) + 1), {}, 1, 0))
+        return plans.setdefault(root.nid, _Plan(order, (True,) * (len(order) + 1), {}, 1, 0,
+                                                  (), [None, None]))
     fixed = tuple([node.nid not in last for node in order])
     frees: dict[int, list] = {}
     for nid, consumer in last.items():
@@ -625,96 +630,155 @@ def _planned(root: Expr) -> _Plan:
             alive -= size[dead]
     order.pop()
     return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
-                                            held // len(size)))
+                                            held // len(size), tuple(leaves), [None, None]))
 
 
-def _lifted(v: np.ndarray, shape: tuple, ndim: int) -> np.ndarray:
-    """A broadcasting operand of static ``shape`` with its stack axis, if it
-    has one, in front of the result's ``ndim`` axes."""
-    if v.ndim == len(shape):
-        return v
-    return v.reshape(v.shape[:1] + (1,) * (ndim - len(shape)) + shape)
+def _leaf(env: Mapping[str, np.ndarray], name: str, shape: tuple,
+          stacked: bool = False) -> np.ndarray:
+    """The value of the leaf ``name`` of static ``shape``, stacked or not."""
+    if name not in env:
+        raise EvaluationError(f"unbound variable '{name}'")
+    v = np.asarray(env[name], dtype=np.float64)
+    if v.shape[stacked:] != shape or v.ndim != len(shape) + stacked:
+        raise EvaluationError(f"variable '{name}' expects shape {shape}, got {v.shape}")
+    return v
 
 
-def _eval(node: Expr, vals: dict, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The value of ``node`` from its inputs' values.  Only direction leaves
-    may be bound with one leading stack axis (B rows); a value that depends
-    on them carries that axis in front of the node's static shape.  A stacked
-    row goes through the same numpy kernel with the same memory layout as an
-    unstacked value, so every row is bitwise equal to the pass with that
-    row's directions as plain vectors."""
-    op = node.op
-    if op == "const":
-        return node.payload
+def _log(a: np.ndarray) -> np.ndarray:
+    if np.any(a <= 0.0):
+        raise EvaluationError("log: non-positive input")
+    return np.log(a)
+
+
+def _power(a: np.ndarray, p: float) -> np.ndarray:
+    if not float(p).is_integer() and np.any(a < 0.0):
+        raise EvaluationError("power: negative base with non-integer exponent")
+    if p < 0 and np.any(a == 0.0):
+        raise EvaluationError("power: zero base with negative exponent")
+    return np.power(a, p)
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:  # 1/(1+exp(-x)), stable on both tails
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _embed(a: np.ndarray, start: int, total: int) -> np.ndarray:
+    out = np.zeros(a.shape[:-1] + (total,))
+    out[..., start:start + a.shape[-1]] = a
+    return out
+
+
+# The names generated code calls kernels by, and the source of each unary op on {}.
+_KERNELS = {"V": _leaf, "EXP": np.exp, "LOG": _log, "TANH": np.tanh, "LAE": np.logaddexp,
+            "SIG": _sigmoid, "POW": np.power, "POWC": _power, "EMB": _embed,
+            "SUM": np.add.reduce}
+_UNARY = {"neg": "-{}", "exp": "EXP({})", "log": "LOG({})", "tanh": "TANH({})",
+          "softplus": "LAE(0.0,{})", "sigmoid": "SIG({})"}
+
+
+def _kernel(node: Expr, names: dict, axis: dict, consts: list) -> str:
+    """The source that computes ``node`` from its inputs' ``names``, with
+    ``axis`` telling which values carry a stack axis; exponents go to
+    ``consts``.  Each op calls the kernel of numpy's own operator or function
+    (``np.sum`` is ``np.add.reduce``) on a row of a plain value's layout, so
+    every row is bitwise the value of its plain pass."""
+    op, p = node.op, node.payload
     if op == "var":
-        try:
-            v = env[node.payload]
-        except KeyError:
-            raise EvaluationError(f"unbound variable '{node.payload}'") from None
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != node.shape and not (v.shape[1:] == node.shape
-                                          and _is_direction(node.payload)):
-            raise EvaluationError(
-                f"variable '{node.payload}' expects shape {node.shape}, got {v.shape}")
-        return v
+        return f"V(E,{p!r},{node.shape!r}{',1' if axis[node.nid] else ''})"
     x = node.inputs[0]
-    a = vals[x.nid]
-    if op == "neg":
-        return -a
-    if op == "add" or op == "mul":
+    a, stacked = names[x.nid], axis[x.nid]
+    if op in ("add", "mul", "matmul"):
         y = node.inputs[1]
-        b = vals[y.nid]
-        if len(x.shape) != len(y.shape):  # lift a stacked lower-rank operand
-            n = len(node.shape)
-            if len(x.shape) < n:
-                a = _lifted(a, x.shape, n)
-            else:
-                b = _lifted(b, y.shape, n)
-        return a + b if op == "add" else a * b
-    if op == "matmul":
-        y = node.inputs[1]
-        b = vals[y.nid]
-        if len(y.shape) == 1 and b.ndim == 2:  # matrix @ stacked vector
-            return (a @ b[..., None])[..., 0]
-        return a @ b
+        b, n = names[y.nid], len(node.shape)
+        if op == "matmul" and len(y.shape) == 1 and axis[y.nid]:  # a stacked vector
+            return f"({a}@{b}[...,None])[...,0]"
+        if op == "matmul":
+            return f"{a}@{b}"
+        lift = "{0}.reshape({0}.shape[:1]+{1!r})"  # a stacked lower-rank operand
+        if len(x.shape) < n and stacked:
+            a = lift.format(a, (1,) * (n - len(x.shape)) + x.shape)
+        elif len(y.shape) < n and axis[y.nid]:
+            b = lift.format(b, (1,) * (n - len(y.shape)) + y.shape)
+        return f"{a}{'+' if op == 'add' else '*'}{b}"
     if op == "transpose":
-        return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+        return f"{a}.swapaxes(-1,-2)" if stacked else f"{a}.T"
     if op == "reshape":
-        return a.reshape(a.shape[:a.ndim - len(x.shape)] + node.payload)
+        return f"{a}.reshape({a}.shape[:1]+{p!r})" if stacked else f"{a}.reshape({p!r})"
     if op == "segment":
-        start, stop = node.payload
-        return a[start:stop] if a.ndim == 1 else a[:, start:stop]
+        return f"{a}[{':,' if stacked else ''}{p[0]}:{p[1]}]"
     if op == "embed":
-        start, total = node.payload
-        out = np.zeros(a.shape[:-1] + (total,))
-        out[..., start:start + a.shape[-1]] = a
-        return out
+        return f"EMB({a},{p[0]},{p[1]})"
     if op == "sum":  # axes count from the end, past any stack axis
         rank = len(x.shape)
-        return np.sum(a, axis=tuple(range(-rank, 0)) if node.payload is None
-                      else node.payload - rank)
-    if op == "exp":
-        return np.exp(a)
-    if op == "log":
-        if np.any(a <= 0.0):
-            raise EvaluationError("log: non-positive input")
-        return np.log(a)
-    if op == "tanh":
-        return np.tanh(a)
-    if op == "softplus":
-        return np.logaddexp(0.0, a)
-    if op == "sigmoid":
-        # 1/(1+exp(-x)), stable on both tails in float64
-        e = np.exp(-np.abs(a))
-        return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return f"SUM({a},{tuple(range(-rank, 0)) if p is None else p - rank!r})"
     if op == "power":
-        p = node.payload
-        if not float(p).is_integer() and np.any(a < 0.0):
-            raise EvaluationError("power: negative base with non-integer exponent")
-        if p < 0 and np.any(a == 0.0):
-            raise EvaluationError("power: zero base with negative exponent")
-        return np.power(a, p)
-    raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
+        consts.append(p)
+        return f"{'POW' if float(p).is_integer() and p >= 0 else 'POWC'}({a},C[{len(consts) - 1}])"
+    if op not in _UNARY:
+        raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
+    return _UNARY[op].format(a)
+
+
+_codes: dict = {}  # digest of a generated source -> the code of its function
+_CHUNK = 64  # nodes per generated function; compiling one takes memory in its length
+
+
+def _compile(source: str) -> CodeType:
+    """The code of the one function that ``source`` defines."""
+    return next(c for c in compile(source, "<plan>", "exec").co_consts
+                if isinstance(c, CodeType))
+
+
+def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
+    """The functions that run ``plan``, the plan of ``root``, one after the
+    other, for plain directions or, when ``stacked``, for direction stacks,
+    kept in the plan: straight-line code in the plan's order, cut every
+    ``_CHUNK`` nodes, each function handing the values that later ones read
+    (``last``: local -> the last chunk that reads it) to the next.  A
+    point-only node reads its value from the point store K or computes and
+    stores it; any other node computes into a local, with a stack axis when
+    ``stacked``, deleted after its last consumer.  Locals are named by
+    position, and the stored values' node ids and the constants are
+    arguments, so the source depends on the graph's structure alone, and
+    graphs of one structure share their compiled code, kept by digest."""
+    names, axis, ids, consts, chunks, last = {}, {}, [], [], [], {}
+    for k, (node, fixed) in enumerate(zip(itertools.chain(plan.order, (root,)), plan.fixed)):
+        if k % _CHUNK == 0:
+            chunks.append([])
+        axis[node.nid] = stacked and not fixed
+        if node.op == "const":
+            names[node.nid] = f"C[{len(consts)}]"
+            consts.append(node.payload)
+            continue
+        for child in node.inputs:
+            last[names[child.nid]] = len(chunks) - 1
+        w = names[node.nid] = f"w{k}"
+        value = _kernel(node, names, axis, consts)
+        if fixed:
+            chunks[-1] += [f"{w}=K.get(I[{len(ids)}])",
+                           f"if {w} is None:{w}=K[I[{len(ids)}]]={value}"]
+            ids.append(node.nid)
+        else:
+            chunks[-1].append(f"{w}={value}")
+            if node.nid in plan.frees:
+                chunks[-1].append("del " + ",".join(names[n] for n in plan.frees[node.nid]))
+    run, live, args = [], [], (tuple(ids), tuple(consts))
+    for c, lines in enumerate(chunks):
+        head = ["def run(E,K,L,I,C):"] + ([",".join(live) + ",=L;L.clear()"] if live else [])
+        live = [w for w in live + [line.split("=", 1)[0] for line in lines if line[0] == "w"]
+                if last.get(w, -1) > c]
+        tail = f"return [{','.join(live)}]" if c < len(chunks) - 1 else f"return {names[root.nid]}"
+        source = "\n ".join(head + lines + [tail])
+        key = hashlib.blake2b(source.encode(), digest_size=16).digest()
+        code = _codes.get(key)
+        if code is None:
+            if len(_codes) >= 1024:  # about 15 KB each: forget the oldest
+                _codes.pop(next(iter(_codes)), None)
+            code = _codes[key] = _compile(source)
+        run.append(FunctionType(code, _KERNELS, "run", args))
+    plan.code[stacked] = run
+    return run
 
 
 def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray] | None,
@@ -750,31 +814,21 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
 
 def _run(root: Expr, env: Mapping[str, np.ndarray],
          bound: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-    """Evaluate the graph ``root`` with ``bound`` its bound arrays, reusing
-    and storing point-only values at the point of env and the bound arrays
-    in its program; every other value lives until its last consumer has
-    run.  A pass looks up only its own plan's nodes, so its
-    cost does not grow with the values other graphs stored at the same
-    point.  Env's direction leaves may be plain vectors or (B, P) stacks
-    (see ``_eval``).  The result may be a stored array, so public callers
-    hand out copies."""
-    order, fixed, frees, _, _ = _planned(root)
+    """Evaluate the graph ``root`` with ``bound`` its bound arrays by its
+    plan's generated code, reusing and storing point-only values at the
+    point of env and the bound arrays in its program.  Env's direction
+    leaves are plain values or (B, P) stacks, each leaf's rank against its
+    static shape telling which.  The result may be a stored array, so
+    public callers hand out copies."""
+    plan = _planned(root)
     arrays, kept = _point_values(env, bound, _program(root).point)
     env = {**env, **arrays}
-    vals: dict[int, np.ndarray] = {}
+    stacked = any(np.ndim(env.get(name)) > rank for name, rank in plan.leaves)
+    live = []
     with np.errstate(all="ignore"):
-        for node, is_fixed in zip(itertools.chain(order, (root,)), fixed):
-            nid = node.nid
-            if is_fixed:
-                value = kept.get(nid)
-                if value is None:
-                    value = kept[nid] = _eval(node, vals, env)
-                vals[nid] = value
-            else:
-                vals[nid] = _eval(node, vals, env)
-                for dead in frees.get(nid, ()):
-                    del vals[dead]
-    return vals[root.nid]
+        for run in plan.code[stacked] or _generated(root, plan, stacked):
+            live = run(env, kept, live)
+    return live
 
 
 def _as_env(theta) -> Mapping[str, np.ndarray]:
@@ -907,6 +961,8 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
         if node.nid not in dep or node.nid not in adjoint or not node.inputs:
             continue
         adj = adjoint[node.nid]
+        if node is f:  # a same-valued clone, so that no derived graph holds the root
+            node = Expr(f.op, f.inputs, f.payload, f.shape)
         for child, contrib in _vjp(node, adj):
             if child.nid not in dep:
                 continue
@@ -1118,7 +1174,7 @@ class ParamVector:
         object.__setattr__(self, "values", values)
         shapes = tuple(tuple(int(s) for s in shp) for shp in self.shapes)
         object.__setattr__(self, "shapes", shapes)
-        total = sum(int(np.prod(s, dtype=np.int64)) for s in shapes)
+        total = sum(math.prod(s) for s in shapes)
         if total != self.values.shape[0]:
             raise ValueError(
                 f"shape list covers {total} entries, values have {self.values.shape[0]}")

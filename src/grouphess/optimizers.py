@@ -36,7 +36,7 @@ from . import engine
 from .engine import (EvaluationError, Expr, ParamVector, PassCounts, evaluate, gradient,
                      gradient_of_nested)
 from .partition import Partition, broadcast
-from .summaries import PseudoSystem, pseudo_hessian, regularization_vector
+from .summaries import PseudoSystem, nulled, pseudo_hessian, regularization_vector
 
 __all__ = [
     "METHODS",
@@ -425,15 +425,6 @@ def traces_to_csv(traces: Sequence[StepTrace]) -> str:
 def strict_json(obj) -> str:
     """``obj`` as indented JSON with sorted keys and every non-finite float
     written as ``null``, so that strict parsers read it."""
-    def nulled(x):
-        if isinstance(x, float):
-            return x if math.isfinite(x) else None
-        if isinstance(x, dict):
-            return {k: nulled(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [nulled(v) for v in x]
-        return x
-
     return json.dumps(nulled(obj), indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
@@ -50,6 +51,17 @@ class BudgetError(ValueError):
     """Raised when a summary tensor or an exact regularizer exceeds its budget."""
 
 
+def nulled(x):
+    """``x`` with each non-finite float in it replaced by None (``null``)."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: nulled(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [nulled(v) for v in x]
+    return x
+
+
 def _fingerprint(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()[:16]
 
@@ -73,16 +85,16 @@ class SummaryTensor:
         return float(np.sum(self.entries))
 
     def to_json(self) -> str:
-        return json.dumps({
+        return json.dumps(nulled({
             "order": self.order,
             "size": self.size,
             "entries": self.entries.reshape(-1).tolist(),
-        })
+        }), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "SummaryTensor":
         obj = json.loads(text)
-        return cls(obj["order"], obj["size"], np.array(obj["entries"]))
+        return cls(obj["order"], obj["size"], np.array(obj["entries"], dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +124,11 @@ class PseudoSystem:
 
     def to_json(self) -> str:
         labels = list(self.partition.labels) if self.partition.labels else None
-        return json.dumps({
+        return json.dumps(nulled({
             "hbar": self.hbar.tolist(),
             "gbar": self.gbar.tolist(),
             "labels": labels,
-        })
+        }), allow_nan=False)
 
 
 def taylor_term(f: Expr, theta, u, d: int) -> float:

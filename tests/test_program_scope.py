@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from grouphess import engine
-from grouphess.engine import Expr, evaluate, gradient_of_nested, reduce_sum, var
+from grouphess.engine import PARAM, Expr, evaluate, gradient_of_nested, reduce_sum, var
 from grouphess.optimizers import StepConfig, partitioned_newton_step, run
 from grouphess.partition import canonical_partition
 from grouphess.problems import (MlpSpec, QuadraticSpec, make_mlp, make_quadratic, mlp_labels,
@@ -72,6 +72,26 @@ def test_values_at_one_point_stay_bounded():
         tracemalloc.stop()
     # a loss's values at theta0 take ~0.1 MB, so keeping them grows ~10 MB here
     assert grown < 1_000_000
+
+
+def test_each_structure_compiles_once(monkeypatch):
+    # every loss is dropped after its step, so each step rebuilds the network
+    # graph; its generated code comes from the cache of compiled structures
+    compiled, graphs = [], []
+    compile_source = engine._compile
+    monkeypatch.setattr(engine, "_codes", {})
+    monkeypatch.setattr(engine, "_compile",
+                        lambda source: compiled.append(source) or compile_source(source))
+    losses, theta0, part = _minibatch_losses(30, seed=3)
+    for step in range(30):
+        loss = next(losses)
+        graphs.append(weakref.ref(engine._unbind(loss)[0]))
+        partitioned_newton_step(loss, theta0, part, StepConfig(damping=0.3))
+        del loss
+        if step == 0:
+            first = len(compiled)
+    assert [graph() for graph in graphs] == [None] * 30
+    assert 0 < first == len(compiled) == len(set(compiled))
 
 
 def test_threads_are_charged_their_own_passes():
@@ -142,6 +162,42 @@ def test_a_dropped_loss_is_freed_at_del(widths, n):
         assert [ref() for ref in refs] == [None, None, None]
 
     _without_the_collector(check)
+
+
+def test_compiled_code_holds_no_graph(monkeypatch):
+    monkeypatch.setattr(engine, "_codes", {})  # so that this loss's code is compiled here
+
+    def check():
+        spec = MlpSpec(widths=WIDTHS, seed=2)
+        f, theta0 = make_mlp(spec, synth_dataset("moons", 43, seed=0))
+        part = canonical_partition(theta0.shapes, mlp_labels(WIDTHS))
+        partitioned_newton_step(f, theta0, part, StepConfig(damping=0.3))
+        refs = [weakref.ref(obj) for obj in (f, engine._unbind(f)[0], f.program)]
+        del f
+        assert [ref() for ref in refs] == [None, None, None]
+        assert engine._codes  # the compiled code outlives the loss
+
+    _without_the_collector(check)
+
+
+@pytest.mark.parametrize("op", [engine.tanh, engine.exp, engine.sigmoid])
+def test_a_root_that_its_derivative_reads_is_freed_at_del(op):
+    def check():
+        f = op(reduce_sum(var(PARAM, (4,))))
+        theta = np.array([0.3, -0.2, 0.1, 0.25])
+        gradient_of_nested(f, theta, [np.ones(4)])
+        refs = [weakref.ref(f), weakref.ref(f.program)]
+        del f
+        assert [ref() for ref in refs] == [None, None]
+
+    _without_the_collector(check)
+
+
+def test_the_derivative_of_a_root_reads_an_equal_value():
+    theta = np.array([0.3, -0.2, 0.1, 0.25])
+    g = gradient_of_nested(engine.tanh(reduce_sum(var(PARAM, (4,)))), theta, [])
+    t = np.tanh(np.sum(theta))
+    assert g.tobytes() == (1.0 * (1.0 + -(t * t)) * np.ones(4)).tobytes()
 
 
 def test_an_unbound_loss_and_a_shared_graph_are_freed_at_del():

@@ -280,6 +280,27 @@ def test_pseudo_system_json():
     assert obj["gbar"] == [1.0, 4.0]
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return __import__("json").loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_serialize_as_null():
+    system = PseudoSystem(np.array([[np.nan, np.inf], [-np.inf, 1.5]]),
+                          np.array([np.inf, 2.0]), discrete_partition(2))
+    assert _strict_json(system.to_json()) == {
+        "hbar": [[None, None], [None, 1.5]], "gbar": [None, 2.0], "labels": None}
+    tensor = SummaryTensor(1, 3, np.array([np.nan, np.inf, -0.5]))
+    assert _strict_json(tensor.to_json())["entries"] == [None, None, -0.5]
+    back = SummaryTensor.from_json(tensor.to_json())  # null reads back as NaN
+    assert back.entries.dtype == np.float64
+    assert np.array_equal(back.entries, [np.nan, np.nan, -0.5], equal_nan=True)
+    with pytest.raises(ValueError, match="non-JSON token NaN"):
+        _strict_json(__import__("json").dumps([np.nan]))
+
+
 # regularization vector ------------------------------------------------------
 
 def test_regularization_zero_on_quadratics():
