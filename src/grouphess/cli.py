@@ -148,7 +148,8 @@ def _merge(defaults, override, path="config"):
 
 def load_config(path: str | None) -> dict:
     """Resolve a YAML config file (or a previously written manifest) against
-    the documented defaults."""
+    the documented defaults.  Types are checked here; the values are checked
+    by :func:`_validate`, once the caller has applied its own overrides."""
     user: dict = {}
     if path is not None:
         try:
@@ -163,9 +164,7 @@ def load_config(path: str | None) -> dict:
             raise ConfigError("config root must be a mapping")
         if "config" in user and "result" in user:  # a run manifest
             user = user["config"]
-    cfg = _merge(copy.deepcopy(DEFAULT_CONFIG), user)  # the caller may edit cfg
-    _validate(cfg)
-    return cfg
+    return _merge(copy.deepcopy(DEFAULT_CONFIG), user)  # the caller may edit it
 
 
 def _validate(cfg: dict) -> None:

@@ -52,32 +52,33 @@ point-only node reads its stored value or computes and stores it, and
 every other value is a local deleted after its last consumer, as the plan
 lists.  The code depends on the graph's structure alone, so graphs of one
 structure share their compiled code (:func:`_generated`).
-:func:`gradient_of_nested` runs single direction vectors in one plain pass.
-It also takes its directions as (B, P) stacks and evaluates the
-direction-dependent nodes for many rows at once, each value carrying a
-leading stack axis; row b is bitwise equal to the call with the stacks'
-row b as plain vectors.  A stack is cut into sweeps whose width the plan
-also fixes from the graph's static shapes: the number of
-direction-dependent elements of one row, divided by the most of them alive
-at once under last-use freeing.  So a sweep never holds more
-direction-dependent memory than one row would without freeing.  The
-counter's ``forward``, ``backward`` and ``passes`` stay logical: every row
-counts as one call, whether its values were computed, reused or stacked;
-``sweeps`` is the physical count.
+
+One loop, :func:`_rows`, runs the derivative rows of calls that take
+directions: a single vector is one row run plain, and (B, P) stacks
+evaluate the direction-dependent nodes for many rows at once, each value
+carrying a leading stack axis; row b is bitwise equal to the call with the
+stacks' row b as plain vectors.  The rows form groups, one on the full
+graph or one per folded graph, each run in sweeps of a width its plan
+fixes from static shapes: one row's direction-dependent elements over the
+most of them alive at once under last-use freeing, so a sweep holds no
+more such memory than one unfreed row.  Sweeps scatter their rows into the
+result.  The counter's ``forward``, ``backward`` and ``passes`` stay
+logical: every row counts as one call, whether its values were computed,
+reused or stacked; ``sweeps`` is the physical count.
 
 Rows are folded where that pays.  A masked direction is zero outside one
 tensor, so a row whose nonzeros lie at each level k in one tensor range
-[a, b) of a ``segment(theta, a, b)`` runs on the graph :func:`substitute`
-folds with _uk set to ``embed(v_k, a, P)``: only what v_k can reach.  The
-key, one whole tensor's range per level, stays put when a masked gradient
-has zeros at its edges; each folded graph is built at the first call that
-needs it and kept in the program.  The full plan's static shapes decide:
-rows fold only at a grain (elements per direction-dependent node) of at
-least ``FOLD_GRAIN``, where numpy kernels, not per-call costs, dominate.  Graphs
-without tensor ranges and calls with a row across a tensor boundary run
-unfolded.  Folding drops ``0 * x`` terms: rows on finite inputs stay
-bitwise equal, but a non-finite x no longer makes NaN, and a zero may
-change its sign.
+[a, b) of a ``segment(theta, a, b)`` in its plan runs on the graph
+:func:`substitute` folds with _uk set to ``embed(v_k, a, P)``: only what
+v_k can reach.  The key, one whole tensor's range per level, stays put
+when a masked gradient has zeros at its edges; each folded graph is built
+at the first call that needs it and kept in the program.  The full plan's
+static shapes decide: rows fold only at a grain (elements per
+direction-dependent node) of at least ``FOLD_GRAIN``, where numpy kernels,
+not per-call costs, dominate.  Graphs without tensor ranges and calls with
+a row across a tensor boundary run unfolded.  Folding drops ``0 * x``
+terms: rows on finite inputs stay bitwise equal, but a non-finite x no
+longer makes NaN, and a zero may change its sign.
 """
 
 from __future__ import annotations
@@ -479,14 +480,13 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
 class _Program:
     """What the engine derives from one graph: graphs by (root id, variable
     name, (chain order, parameter shape) or tensor range per direction
-    level), plans and tensor ranges by root id, and the per-thread store of
+    level), plans by root id, and the per-thread store of
     :func:`_point_values`.  The graph's root holds it; each derived root
     joins it through a weak reference, so no root and its program form a
     cycle, and a dropped root frees its program by reference counting."""
 
     derived: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
-    ranges: dict = field(default_factory=dict)
     point: threading.local = field(default_factory=threading.local)
 
 
@@ -557,15 +557,14 @@ class _Plan(NamedTuple):
     it has run; the sweep ``width``, held // peak rows, where held counts
     one row's elements that are not point-only and peak the most of them
     alive at once, both from static shapes; ``grain``, held // the number
-    of nodes that are not point-only; (name, rank) per direction leaf; and
-    ``code``, the functions generated for plain and stacked calls."""
+    of nodes that are not point-only; and ``code``, the functions generated
+    for plain and stacked calls."""
 
     order: list
     fixed: tuple
     frees: dict
     width: int
     grain: int
-    leaves: tuple
     code: list
 
 
@@ -581,7 +580,6 @@ def _planned(root: Expr) -> _Plan:
     order: list[Expr] = []
     last: dict[int, int | None] = {}  # node that is not point-only -> last consumer
     seen: set[int] = set()
-    leaves: list[tuple[str, int]] = []  # (name, rank) of each direction leaf
     stack: list[tuple[Expr, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -589,7 +587,6 @@ def _planned(root: Expr) -> _Plan:
             if not node.inputs:
                 if node.op == "var" and _is_direction(node.payload):
                     last[node.nid] = None
-                    leaves.append((node.payload, len(node.shape)))
             elif last:
                 for child in node.inputs:
                     if child.nid in last:
@@ -610,7 +607,7 @@ def _planned(root: Expr) -> _Plan:
     if not last:
         order.pop()
         return plans.setdefault(root.nid, _Plan(order, (True,) * (len(order) + 1), {}, 1, 0,
-                                                  (), [None, None]))
+                                                  [None, None]))
     fixed = tuple([node.nid not in last for node in order])
     frees: dict[int, list] = {}
     for nid, consumer in last.items():
@@ -630,7 +627,7 @@ def _planned(root: Expr) -> _Plan:
             alive -= size[dead]
     order.pop()
     return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
-                                            held // len(size), tuple(leaves), [None, None]))
+                                            held // len(size), [None, None]))
 
 
 def _leaf(env: Mapping[str, np.ndarray], name: str, shape: tuple,
@@ -813,17 +810,16 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
 
 
 def _run(root: Expr, env: Mapping[str, np.ndarray],
-         bound: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+         bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False) -> np.ndarray:
     """Evaluate the graph ``root`` with ``bound`` its bound arrays by its
     plan's generated code, reusing and storing point-only values at the
     point of env and the bound arrays in its program.  Env's direction
-    leaves are plain values or (B, P) stacks, each leaf's rank against its
-    static shape telling which.  The result may be a stored array, so
-    public callers hand out copies."""
+    leaves are plain values or, when ``stacked``, stacks of rows, which only
+    :func:`_rows` passes.  The result may be a stored array, so public
+    callers hand out copies."""
     plan = _planned(root)
     arrays, kept = _point_values(env, bound, _program(root).point)
     env = {**env, **arrays}
-    stacked = any(np.ndim(env.get(name)) > rank for name, rank in plan.leaves)
     live = []
     with np.errstate(all="ignore"):
         for run in plan.code[stacked] or _generated(root, plan, stacked):
@@ -978,12 +974,8 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
 def gradient(f: Expr, theta) -> np.ndarray:
     """Exact reverse-mode gradient of ``f`` with respect to the parameter
     vector, evaluated at ``theta``.  One forward plus one backward sweep."""
-    f, bound = _unbind(f)
-    env = _as_env(theta)
-    p = np.asarray(env[PARAM]).shape
-    g = gradient_expr(f, PARAM, shape=p)
     counter.add(forward=1, backward=1, passes=1, sweeps=1)
-    return np.array(_run(g, env, bound), ndmin=1)
+    return np.array(_run(*_derivative(f, theta, 0, True)), ndmin=1)
 
 
 def directional_derivative(f: Expr, theta, u: ArrayLike) -> Expr:
@@ -1008,6 +1000,17 @@ def _dir_name(k: int) -> str:
 
 def _is_direction(name: str) -> bool:
     return name[:2] == "_u" and name[2:].isdigit()
+
+
+def _derivative(f: Expr, theta, d: int, grad: bool) -> tuple[Expr, dict, Mapping | None]:
+    """f's d-fold :func:`_chain`, or its gradient when ``grad``, unbound; a
+    copy of theta's environment; and f's bound arrays.  The entry points
+    share this rather than call one another, so each pass is timed once."""
+    f, bound = _unbind(f)
+    env = dict(_as_env(theta))
+    pshape = np.asarray(env[PARAM]).shape if d or grad else None  # f itself takes no shape
+    expr = _chain(f, d, pshape)
+    return (gradient_expr(expr, PARAM, shape=pshape) if grad else expr), env, bound
 
 
 def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
@@ -1041,12 +1044,9 @@ def _folds(expr: Expr, stacks: list) -> list | None:
     the rows' indices, the rows cut to the ranges); None when ``expr`` has
     no tensor ranges or a row's nonzeros are in no one range.  Any range
     that holds a row's nonzeros folds it exactly, so ranges may overlap."""
-    program = _program(expr)
-    spans = program.ranges.get(expr.nid)
-    if spans is None:
-        found = sorted({node.payload for node in _planned(expr).order if node.op == "segment"
-                        and node.inputs[0].op == "var" and node.inputs[0].payload == PARAM})
-        spans = program.ranges[expr.nid] = np.array(found, dtype=np.int64).reshape(-1, 2)
+    spans = np.array(sorted({node.payload for node in _planned(expr).order if node.op == "segment"
+                             and node.inputs[0].op == "var" and node.inputs[0].payload == PARAM}),
+                     dtype=np.int64).reshape(-1, 2)
     if not len(spans):
         return None
     starts, stops = spans[:, 0], spans[:, 1]
@@ -1065,7 +1065,7 @@ def _folds(expr: Expr, stacks: list) -> list | None:
     for key in np.unique(keys, axis=0):
         index = np.flatnonzero((keys == key).all(axis=1))
         ranges = tuple((int(starts[i]), int(stops[i])) for i in key)
-        graph = program.derived.get((expr.nid, ranges))
+        graph = _program(expr).derived.get((expr.nid, ranges))
         if graph is None:
             leaves = {_dir_name(k): embed(var(_dir_name(k), (b - a,)), a, u.shape[1])
                       for k, ((a, b), u) in enumerate(zip(ranges, stacks), start=1)}
@@ -1074,13 +1074,14 @@ def _folds(expr: Expr, stacks: list) -> list | None:
     return groups
 
 
-def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int,
-            bound: Mapping[str, np.ndarray] | None) -> np.ndarray:
+def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
+          dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
     """Evaluate ``expr``, with ``bound`` its bound arrays and the direction
-    leaves _u1.. set to ``dirs``, which are all single vectors or all
-    (B, P) stacks with one B, by
-    :func:`_swept` on ``expr`` or, at a grain of ``FOLD_GRAIN`` or more, on
-    each group of :func:`_folds` with the rows in their order."""
+    leaves _u1.. set to ``dirs``: all single vectors, one row run plain, or
+    all (B, P) stacks with one B.  The rows form one group on ``expr`` or,
+    at a grain of ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each
+    runs in sweeps of at most its plan's width rows, scattered into the
+    result.  A row counts as a logical pass of depth ``backward``."""
     pshape = np.asarray(env[PARAM]).shape
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
@@ -1088,52 +1089,31 @@ def _sweeps(expr: Expr, env: dict, dirs: Sequence[ArrayLike], backward: int,
     for k, u in enumerate(stacks, start=1):
         if u.shape != want:
             raise EvaluationError(f"direction {k} has shape {u.shape}, expected {want}")
+    if single:
+        stacks = [u[None] for u in stacks]
+    rows = len(stacks[0]) if stacks else 1
     groups = None
     if stacks and _planned(expr).grain >= FOLD_GRAIN:
-        groups = _folds(expr, [u[None] for u in stacks] if single else stacks)
-    if groups is None:
-        return _swept(expr, env, stacks, single, backward, bound)
-    if single:
-        (graph, _, parts), = groups
-        return _swept(graph, env, [u[0] for u in parts], True, backward, bound)
-    out = np.empty(want[:1] + expr.shape)
-    for graph, index, parts in groups:
-        out[index] = _swept(graph, env, parts, False, backward, bound)
-    return out
-
-
-def _swept(expr: Expr, env: dict, stacks: list, single: bool, backward: int,
-           bound: Mapping[str, np.ndarray] | None) -> np.ndarray:
-    """``expr`` with _u1.. bound to ``stacks``: vectors in one plain pass,
-    (B, n) stacks in sweeps of at most the plan's width rows.  Each row
-    counts as one logical pass of depth ``backward``, each sweep as one
-    physical sweep."""
-    for k, u in enumerate(stacks, start=1):
-        env[_dir_name(k)] = u
-    if single:
-        counter.add(forward=1, backward=backward, passes=1, sweeps=1)
-        return np.array(_run(expr, env, bound))
-    rows = stacks[0].shape[0]
-    width = _planned(expr).width
+        groups = _folds(expr, stacks)
     out = np.empty((rows,) + expr.shape)
-    for lo in range(0, rows, width):
-        for k, u in enumerate(stacks, start=1):
-            env[_dir_name(k)] = u[lo:lo + width]
-        n = min(width, rows - lo)
-        counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-        out[lo:lo + n] = _run(expr, env, bound)
-    return out
+    for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]:
+        width = 1 if single else _planned(graph).width
+        for lo in range(0, len(index), width):
+            for k, u in enumerate(parts, start=1):
+                env[_dir_name(k)] = u[lo] if single else u[lo:lo + width]
+            n = min(width, len(index) - lo)
+            counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
+            out[index[lo:lo + n]] = _run(graph, env, bound, not single)
+    return out[0] if single else out
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
     """d-th derivative of ``f`` contracted with the given directions, one per
     differentiation level.  Counts as one gradient-equivalent pass of depth d."""
-    d = len(dirs)
-    if d == 0:
-        return evaluate(f, theta)
-    f, bound = _unbind(f)
-    env = dict(_as_env(theta))
-    return float(_sweeps(_chain(f, d, np.asarray(env[PARAM]).shape), env, dirs, d, bound))
+    if not dirs:  # f itself, counted as evaluate counts it
+        counter.add(forward=1)
+        return float(_run(*_derivative(f, theta, 0, False)))
+    return float(_rows(*_derivative(f, theta, len(dirs), False), dirs, len(dirs)))
 
 
 def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
@@ -1145,11 +1125,7 @@ def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:
     then (B, P), and row b is bitwise equal to the call with each stack's
     row b.  B rows count as B passes, run in as few sweeps as the graph's
     width allows (see the module docstring)."""
-    f, bound = _unbind(f)
-    env = dict(_as_env(theta))
-    pshape = np.asarray(env[PARAM]).shape
-    g = gradient_expr(_chain(f, len(dirs), pshape), PARAM, shape=pshape)
-    return _sweeps(g, env, dirs, len(dirs) + 1, bound)
+    return _rows(*_derivative(f, theta, len(dirs), True), dirs, len(dirs) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,11 @@ def _fingerprint(arr: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SummaryTensor:
-    """Order-d tensor of size S per dimension, plus direction provenance."""
+    """Order-d tensor of size S per dimension."""
 
     order: int
     size: int
     entries: np.ndarray
-    fingerprint: str = ""
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.float64).reshape((self.size,) * self.order)
@@ -173,7 +172,7 @@ def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
     for idx in product(range(s_count), repeat=d):
         srt = tuple(sorted(idx))
         entries[idx] = columns[srt[1:]][srt[0]]
-    return SummaryTensor(d, s_count, entries, _fingerprint(u))
+    return SummaryTensor(d, s_count, entries)
 
 
 def pseudo_gradient(f: Expr, theta, part: Partition) -> np.ndarray:

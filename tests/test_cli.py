@@ -391,6 +391,22 @@ def test_defaults_need_no_config_file(tmp_path):
     assert main(["run", "--out", str(tmp_path / "out"), "--method", "gd"]) == 0
 
 
+@pytest.mark.parametrize("command, bad, flags", [
+    ("run", {"method": "foo"}, ["--method", "gd"]),
+    ("check", {"check": {"order": 7}}, ["--order", "1"]),
+], ids=["method", "check-order"])
+def test_a_flag_replaces_a_bad_config_value(tmp_path, capsys, command, bad, flags):
+    # the command line applies over the file before the one validation, so
+    # a flag mends a bad value; without the flag the value is refused
+    config = {"problem": {"kind": "quadratic", "size": 3}, "out": str(tmp_path / "out"), **bad}
+    path = write_config(tmp_path, **config)
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main([command, "--config", str(path)] + flags) == 0
+    assert (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("run", {"exports": {"trace_json": "no"}}),
     ("run", {"step": {"max_iterations": 2.9}}),

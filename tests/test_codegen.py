@@ -81,7 +81,7 @@ def test_each_primitive_equals_its_numpy_call(name):
             continue
         stacked = {n: v if n.startswith("x") else s
                    for (n, v), s in zip(plain.items(), _values(name, shapes, rng, (B,)))}
-        got = np.asarray(engine._run(f, stacked))
+        got = np.asarray(engine._run(f, stacked, stacked=True))
         assert got.shape == (B,) + want.shape, kinds
         for b in range(B):
             row = call(*[v[b] if n.startswith("_u") else v for n, v in stacked.items()])
@@ -115,21 +115,21 @@ def test_errors_keep_their_messages_plain_and_stacked(case):
         if rows is not None:  # a first row that passes, then the plain values
             env = {**env, "_u1": np.stack([np.ones(3)] + [env["_u1"]] * (rows - 1))}
         with pytest.raises(EvaluationError, match=re.escape(message)):
-            engine._run(f, env)
+            engine._run(f, env, stacked=rows is not None)
 
 
 def test_a_misshaped_direction_stack_is_refused():
     with pytest.raises(EvaluationError, match=re.escape("variable '_u1' expects shape (3,), "
                                                         "got (4, 2)")):
-        engine._run(engine.tanh(_u()), {"_u1": np.ones((4, 2))})
+        engine._run(engine.tanh(_u()), {"_u1": np.ones((4, 2))}, stacked=True)
     with pytest.raises(EvaluationError, match=re.escape("unbound variable '_u1'")):
         engine._run(engine.tanh(_u()), {})
 
 
 def test_a_matrix_direction_leaf_passed_as_data_runs_plain():
     # a caller's _u1 of static shape (5, 3) passed as a (5, 3) array is one
-    # plain value, not a stack of 5 rows: stack-ness comes from each
-    # direction leaf's rank against its static shape
+    # plain value, not a stack of 5 rows: only the engine's row loop passes
+    # stacks, and evaluate and gradient run plain
     x = _u((5, 3))
     w = engine.reshape(engine.segment(var(PARAM, (6,)), 0, 3), (3, 1))
     f = engine.reduce_sum(engine.reshape(engine.tanh(engine.matmul(x, w)), (5,)) ** 2)
@@ -140,7 +140,7 @@ def test_a_matrix_direction_leaf_passed_as_data_runs_plain():
     g = gradient_of_nested(f, {PARAM: theta, "_u1": data}, [])
     assert g.shape == (6,) and np.all(g[3:] == 0.0)
     stack = rng.normal(size=(B, 5, 3))
-    rows = engine._run(f, {PARAM: theta, "_u1": stack})
+    rows = engine._run(f, {PARAM: theta, "_u1": stack}, stacked=True)
     for b in range(B):
         assert rows[b] == engine.evaluate(f, {PARAM: theta, "_u1": stack[b]})
 

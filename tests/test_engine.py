@@ -14,6 +14,7 @@ from grouphess.engine import (
     dot,
     evaluate,
     gradient,
+    gradient_expr,
     gradient_of_nested,
     nested_directional,
     reduce_mean,
@@ -21,6 +22,8 @@ from grouphess.engine import (
     var,
 )
 from grouphess.fd import fd_gradient
+from grouphess.partition import canonical_partition, mask
+from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
 
 
 def quad_diag12():
@@ -174,26 +177,40 @@ def test_determinism_bit_identical():
     assert d1 == d2
 
 
-def test_pass_counting_gradient():
-    f = reduce_sum(quad_diag12())
-    theta = np.array([1.0, 2.0])
-    before = engine.counter.snapshot()
-    gradient(f, theta)
-    delta = engine.counter.snapshot() - before
-    assert delta.forward == 1
-    assert delta.backward == 1
-    assert delta.passes == 1
+def _counted_call(case):
+    """The call of one pass-counting case, and whether it runs a row folded:
+    a single masked-gradient HVP on a moons MLP whose derivative graph sits
+    above the folding grain (hvp-folded) or below it (hvp), or an entry
+    point on a quadratic."""
+    if case.startswith("hvp"):
+        widths, n = ((2, 32, 32, 2), 300) if case == "hvp-folded" else ((2, 8, 8, 8, 2), 100)
+        f, theta0 = make_mlp(MlpSpec(widths, seed=2), synth_dataset("moons", n, seed=0))
+        theta, part = theta0.values, canonical_partition(theta0.shapes, mlp_labels(widths))
+        p = (theta.size,)
+        grain = engine._planned(gradient_expr(engine._chain(f, 1, p), "theta", shape=p)).grain
+        u = mask(gradient(f, theta), part, 0)
+        return lambda: gradient_of_nested(f, theta, [u]), grain >= engine.FOLD_GRAIN
+    f, theta, u = reduce_sum(quad_diag12()), np.array([1.0, 2.0]), np.array([1.0, 1.0])
+    return {"evaluate": lambda: evaluate(f, theta), "gradient": lambda: gradient(f, theta),
+            "nested-d3": lambda: nested_directional(f, theta, [u, u, u])}[case], False
 
 
-def test_pass_counting_nested_depth():
-    f = reduce_sum(quad_diag12())
-    theta = np.array([1.0, 2.0])
-    u = np.array([1.0, 1.0])
-    before = engine.counter.snapshot()
-    nested_directional(f, theta, [u, u, u])
-    delta = engine.counter.snapshot() - before
-    assert delta.backward == 3
-    assert delta.passes == 1
+@pytest.mark.parametrize("case, want", [
+    ("evaluate", (1, 0, 0, 0)),
+    ("gradient", (1, 1, 1, 1)),
+    ("nested-d3", (1, 3, 1, 1)),
+    ("hvp", (1, 2, 1, 1)),
+    ("hvp-folded", (1, 2, 1, 1)),
+], ids=["evaluate", "gradient", "nested-d3", "hvp", "hvp-folded"])
+def test_pass_counting(case, want):
+    # (forward, backward, passes, sweeps) of every entry point; a single
+    # HVP counts alike on the full graph and on a folded one
+    call, folds = _counted_call(case)
+    assert folds == (case == "hvp-folded")
+    before = engine.counter.own()
+    call()
+    used = engine.counter.own() - before
+    assert (used.forward, used.backward, used.passes, used.sweeps) == want
 
 
 def test_log_domain_error_names_primitive():

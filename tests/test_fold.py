@@ -9,6 +9,7 @@ and they die with the loss), and the counter must stay logical.
 
 import functools
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,35 @@ def test_folded_order2_rows_equal_full_graph_rows(seed, groups):
     assert spans in [key[1] for key in _folded_graphs(f)]
 
 
+def test_interleaved_rows_of_two_tensors_scatter_back_in_place():
+    # sub-range rows of two tensors, interleaved in one stack, with more
+    # rows per tensor than its folded graph's width: each group runs in
+    # several sweeps, and each sweep's rows land at their own indices
+    f, theta, part = _wide()
+    rng = np.random.default_rng(8)
+    spans = [(part.groups[s][0], part.groups[s][-1] + 1) for s in (0, 2)]
+
+    def sub_range_row(lo, hi):
+        a = int(rng.integers(lo, hi))
+        b = int(rng.integers(a, hi)) + 1
+        u = np.zeros(theta.size)
+        u[a:b] = rng.normal(size=b - a)
+        return u
+
+    gradient_of_nested(f, theta, [np.array([sub_range_row(*span) for span in spans])])
+    graph, _ = engine._unbind(_full_graph(f, theta.size, 1))
+    widths = [engine._planned(f.program.derived[(graph.nid, (span,))]).width for span in spans]
+    count = 2 * max(widths) + 1  # rows per tensor, alternating between the two
+    stack = np.array([sub_range_row(*spans[t]) for t in [0, 1] * count])
+    before = engine.counter.own()
+    rows = gradient_of_nested(f, theta, [stack])
+    used = engine.counter.own() - before
+    for r in range(len(stack)):
+        assert rows[r].tobytes() == _full_row(f, theta, [stack[r]]).tobytes()
+    assert used.passes == len(stack)
+    assert used.sweeps == sum(math.ceil(count / w) for w in widths)
+
+
 def test_summaries_and_regularizer_equal_the_full_graphs(monkeypatch):
     f, theta0, part = _wide()
     rng = np.random.default_rng(3)
@@ -188,7 +218,7 @@ def test_small_networks_fold_nothing():
     f, theta, part = _network((2, 8, 8, 8, 2), n=100)
     pseudo_hessian(f, theta, part)
     summary_tensor(f, theta, np.ones(theta.size), part, 2)
-    assert _folded_graphs(f) == [] and f.program.ranges == {}
+    assert _folded_graphs(f) == []
 
 
 def test_substitute_folds_structural_zeros():

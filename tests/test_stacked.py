@@ -139,7 +139,7 @@ def test_stacked_sum_of_a_transposed_value_matches_rowwise():
                 assert out[r].tobytes() == _unstacked(expr, theta, [u[r] for u in stacks]).tobytes()
     # the loss itself, evaluated for a stack of direction rows
     stack = rng.normal(size=(6, p))
-    values = engine._run(f, {PARAM: theta, engine._dir_name(1): stack})
+    values = engine._run(f, {PARAM: theta, engine._dir_name(1): stack}, stacked=True)
     for r in range(6):
         assert values[r].tobytes() == _unstacked(f, theta, [stack[r]])[0].tobytes()
 
@@ -179,9 +179,9 @@ def test_single_directions_run_as_one_plain_pass(monkeypatch):
     bound = []
     run_pass = engine._run
 
-    def spy(root, env, arrays):
+    def spy(root, env, arrays, stacked=False):
         bound.append(env[engine._dir_name(1)].shape)
-        return run_pass(root, env, arrays)
+        return run_pass(root, env, arrays, stacked)
 
     monkeypatch.setattr(engine, "_run", spy)
     before = engine.counter.own()
