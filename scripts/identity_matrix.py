@@ -15,7 +15,11 @@ discrete partition of a size-101 quadratic (S^3 over the budget at order 3),
 a partition file that is JSON but no partition, which the script writes
 next to its configs, three non-finite config values (a NaN regularization
 eps, an infinite damping, a NaN moons noise), and a softmax network whose
-logits overflow, so that its curvature is non-finite.  Each case runs
+logits overflow, so that its curvature is non-finite.  Last, a (2, 32, 32, 2)
+network on 1,000 moons points, partitioned, 5 iterations: its plans are
+above the engine's ``FOLD_GRAIN``, so its rows fold and its values are
+written into planned buffers, where every case before it runs below the
+grain.  Each case runs
 ``run``, ``inspect --at init``, ``inspect --at checkpoint`` and ``check
 --order 3`` in-process through ``grouphess.cli.main``.  Wall times
 (``wall_time`` in trace.json) and the output directory (``config.out`` in
@@ -83,6 +87,10 @@ def cases(configs: Path):
     yield "mlp-nan-noise", {"problem": {"kind": "mlp", "dataset": {"noise": float("nan")}}}
     yield "mlp-nonfinite-curvature", {"problem": {"kind": "mlp", "loss": "softmax-cross-entropy",
                                                   "init_scale": 10000.0}}
+    yield "mlp-wide-partitioned", {"problem": {"kind": "mlp", "widths": [2, 32, 32, 2],
+                                               "dataset": {"n": 1000}},
+                                   "method": "partitioned", "seed": 2,
+                                   "step": {"max_iterations": 5, "damping": 0.3}}
 
 
 def digest(path: Path) -> str:

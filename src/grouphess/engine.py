@@ -79,10 +79,24 @@ not per-call costs, dominate.  Graphs without tensor ranges and calls with
 a row across a tensor boundary run unfolded.  Folding drops ``0 * x``
 terms: rows on finite inputs stay bitwise equal, but a non-finite x no
 longer makes NaN, and a zero may change its sign.
+
+Memory is planned statically at the same grain, per plan (a plan with no
+direction leaf counts the elements of all its nodes), so a large pass
+hands no pages back to the system to fault in again.  Each kernel but
+``sigmoid`` writes a value of rank one or more into a fixed buffer through
+numpy's ``out`` argument, bitwise as its allocating call: a value that is
+not point-only into an offset of one flat arena, first-fit by liveness or
+over an input that dies at an elementwise kernel, which one call of
+:func:`_rows` makes for all its sweeps and groups and drops on return; a
+point-only value into its node's buffer, which the program keeps per
+thread and overwrites at each new point.  Views keep their base's offset
+alive, and the root and what it views get no buffer, so no result aliases
+one.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -557,15 +571,28 @@ class _Plan(NamedTuple):
     it has run; the sweep ``width``, held // peak rows, where held counts
     one row's elements that are not point-only and peak the most of them
     alive at once, both from static shapes; ``grain``, held // the number
-    of nodes that are not point-only; and ``code``, the functions generated
-    for plain and stacked calls."""
+    of nodes that are not point-only, or the elements per node of a plan
+    whose nodes are all point-only; the memory plan, empty below a grain of
+    ``FOLD_GRAIN``: ``slots``, id -> offset in elements per row into the
+    arena for a value that is not point-only, None for a point-only one,
+    of every value a kernel writes into a buffer, and ``extent``, the
+    arena's elements per row; and ``code``, the functions generated for
+    plain and stacked calls."""
 
     order: list
     fixed: tuple
     frees: dict
     width: int
     grain: int
+    slots: dict
+    extent: int
     code: list
+
+
+# Ops whose kernel writes into a buffer, and ops whose value views their input.
+_SLOTTED = frozenset({"add", "mul", "matmul", "neg", "exp", "log", "tanh", "softplus",
+                      "power", "sum", "embed"})
+_VIEWS = frozenset({"transpose", "reshape", "segment"})
 
 
 def _planned(root: Expr) -> _Plan:
@@ -604,10 +631,6 @@ def _planned(root: Expr) -> _Plan:
         for child in node.inputs:
             if child.nid not in seen:
                 stack.append((child, False))
-    if not last:
-        order.pop()
-        return plans.setdefault(root.nid, _Plan(order, (True,) * (len(order) + 1), {}, 1, 0,
-                                                  [None, None]))
     fixed = tuple([node.nid not in last for node in order])
     frees: dict[int, list] = {}
     for nid, consumer in last.items():
@@ -625,9 +648,63 @@ def _planned(root: Expr) -> _Plan:
             peak = alive
         for dead in frees.get(node.nid, ()):
             alive -= size[dead]
+    grain = held // len(size) if size else sum(math.prod(n.shape) for n in order) // len(order)
+    slots, extent = _memory(order, fixed, frees, size) if grain >= FOLD_GRAIN else ({}, 0)
     order.pop()
     return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
-                                            held // len(size), [None, None]))
+                                            grain, slots, extent, [None, None]))
+
+
+def _memory(order: list, fixed: tuple, frees: dict, size: dict) -> tuple[dict, int]:
+    """The ``slots`` and ``extent`` of a plan (see :class:`_Plan`) of
+    ``order``, root last, with ``size`` the elements of each value that is
+    not point-only.  Arena offsets go first-fit by liveness: a value takes
+    its elements before its dead inputs give theirs back, but for an
+    elementwise kernel, which takes those of a same-shaped input that dies
+    at it and has no live view; a view keeps its base's until the view's
+    own last use.  The root, and what it views, writes into no buffer, so
+    no result aliases one."""
+    bare, view = {order[-1].nid}, order[-1]
+    while view.op in _VIEWS:
+        view = view.inputs[0]
+        bare.add(view.nid)
+    slots: dict[int, int | None] = {}
+    owner: dict[int, int] = {}  # a live value in the arena -> the value whose slot it is
+    users: dict[int, int] = {}  # a slotted value -> the live values in its slot
+    taken: list[tuple[int, int]] = []  # the arena's taken ranges, in order
+    extent = 0
+    for node, is_fixed in zip(order, fixed):
+        if node.op in _SLOTTED and node.shape != () and node.nid not in bare:
+            if is_fixed:
+                slots[node.nid] = None
+                continue
+            n, at = size[node.nid], None
+            if node.op not in ("matmul", "sum", "embed"):  # elementwise: may write over an input
+                for x in node.inputs:
+                    if (x.shape == node.shape and owner.get(x.nid) == x.nid and users[x.nid] == 1
+                            and x.nid in frees.get(node.nid, ())):
+                        at = slots[x.nid]
+                        del owner[x.nid], users[x.nid]  # its slot passes to the node
+                        break
+            if at is None:
+                at = 0
+                for lo, hi in taken:
+                    if lo - at >= n:
+                        break
+                    at = hi
+                bisect.insort(taken, (at, at + n))
+            slots[node.nid], owner[node.nid], users[node.nid] = at, node.nid, 1
+            extent = max(extent, at + n)
+        elif node.op in _VIEWS and node.inputs[0].nid in owner:
+            base = owner[node.nid] = owner[node.inputs[0].nid]
+            users[base] += 1
+        for dead in frees.get(node.nid, ()):
+            base = owner.pop(dead, None)
+            if base is not None:
+                users[base] -= 1
+                if not users[base]:
+                    taken.remove((slots[base], slots[base] + size[base]))
+    return slots, extent
 
 
 def _leaf(env: Mapping[str, np.ndarray], name: str, shape: tuple,
@@ -641,18 +718,18 @@ def _leaf(env: Mapping[str, np.ndarray], name: str, shape: tuple,
     return v
 
 
-def _log(a: np.ndarray) -> np.ndarray:
+def _log(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if np.any(a <= 0.0):
         raise EvaluationError("log: non-positive input")
-    return np.log(a)
+    return np.log(a, out)
 
 
-def _power(a: np.ndarray, p: float) -> np.ndarray:
+def _power(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     if not float(p).is_integer() and np.any(a < 0.0):
         raise EvaluationError("power: negative base with non-integer exponent")
     if p < 0 and np.any(a == 0.0):
         raise EvaluationError("power: zero base with negative exponent")
-    return np.power(a, p)
+    return np.power(a, p, out)
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:  # 1/(1+exp(-x)), stable on both tails
@@ -660,26 +737,39 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:  # 1/(1+exp(-x)), stable on both tail
     return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _embed(a: np.ndarray, start: int, total: int) -> np.ndarray:
-    out = np.zeros(a.shape[:-1] + (total,))
+def _embed(a: np.ndarray, start: int, total: int, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.zeros(a.shape[:-1] + (total,))
+    else:
+        out.fill(0.0)
     out[..., start:start + a.shape[-1]] = a
+    return out
+
+
+def _buffer(buffers: dict, nid: int, shape: tuple) -> np.ndarray:
+    """The point buffer of node ``nid`` in ``buffers``, made at first use."""
+    out = buffers.get(nid)
+    if out is None:
+        out = buffers[nid] = np.empty(shape)
     return out
 
 
 # The names generated code calls kernels by, and the source of each unary op on {}.
 _KERNELS = {"V": _leaf, "EXP": np.exp, "LOG": _log, "TANH": np.tanh, "LAE": np.logaddexp,
             "SIG": _sigmoid, "POW": np.power, "POWC": _power, "EMB": _embed,
-            "SUM": np.add.reduce}
+            "SUM": np.add.reduce, "ADD": np.add, "MUL": np.multiply, "MATMUL": np.matmul,
+            "NEG": np.negative, "BUF": _buffer}
 _UNARY = {"neg": "-{}", "exp": "EXP({})", "log": "LOG({})", "tanh": "TANH({})",
           "softplus": "LAE(0.0,{})", "sigmoid": "SIG({})"}
 
 
-def _kernel(node: Expr, names: dict, axis: dict, consts: list) -> str:
+def _kernel(node: Expr, names: dict, axis: dict, consts: list, out: str | None = None) -> str:
     """The source that computes ``node`` from its inputs' ``names``, with
-    ``axis`` telling which values carry a stack axis; exponents go to
-    ``consts``.  Each op calls the kernel of numpy's own operator or function
-    (``np.sum`` is ``np.add.reduce``) on a row of a plain value's layout, so
-    every row is bitwise the value of its plain pass."""
+    ``axis`` telling which values carry a stack axis, into the buffer
+    ``out`` when given; exponents go to ``consts``.  Each op calls the
+    kernel of numpy's own operator or function (``np.sum`` is
+    ``np.add.reduce``) on a row of a plain value's layout, so every row is
+    bitwise the value of its plain pass, with or without a buffer."""
     op, p = node.op, node.payload
     if op == "var":
         return f"V(E,{p!r},{node.shape!r}{',1' if axis[node.nid] else ''})"
@@ -689,14 +779,18 @@ def _kernel(node: Expr, names: dict, axis: dict, consts: list) -> str:
         y = node.inputs[1]
         b, n = names[y.nid], len(node.shape)
         if op == "matmul" and len(y.shape) == 1 and axis[y.nid]:  # a stacked vector
+            if out:
+                return f"MATMUL({a},{b}[...,None],{out}[...,None])[...,0]"
             return f"({a}@{b}[...,None])[...,0]"
         if op == "matmul":
-            return f"{a}@{b}"
+            return f"MATMUL({a},{b},{out})" if out else f"{a}@{b}"
         lift = "{0}.reshape({0}.shape[:1]+{1!r})"  # a stacked lower-rank operand
         if len(x.shape) < n and stacked:
             a = lift.format(a, (1,) * (n - len(x.shape)) + x.shape)
         elif len(y.shape) < n and axis[y.nid]:
             b = lift.format(b, (1,) * (n - len(y.shape)) + y.shape)
+        if out:
+            return f"{op.upper()}({a},{b},{out})"
         return f"{a}{'+' if op == 'add' else '*'}{b}"
     if op == "transpose":
         return f"{a}.swapaxes(-1,-2)" if stacked else f"{a}.T"
@@ -704,16 +798,21 @@ def _kernel(node: Expr, names: dict, axis: dict, consts: list) -> str:
         return f"{a}.reshape({a}.shape[:1]+{p!r})" if stacked else f"{a}.reshape({p!r})"
     if op == "segment":
         return f"{a}[{':,' if stacked else ''}{p[0]}:{p[1]}]"
+    tail = f",{out})" if out else ")"  # a call's last argument is its buffer
     if op == "embed":
-        return f"EMB({a},{p[0]},{p[1]})"
+        return f"EMB({a},{p[0]},{p[1]}{tail}"
     if op == "sum":  # axes count from the end, past any stack axis
         rank = len(x.shape)
-        return f"SUM({a},{tuple(range(-rank, 0)) if p is None else p - rank!r})"
+        axes = tuple(range(-rank, 0)) if p is None else p - rank
+        return f"SUM({a},{axes!r}{',None' if out else ''}{tail}"
     if op == "power":
         consts.append(p)
-        return f"{'POW' if float(p).is_integer() and p >= 0 else 'POWC'}({a},C[{len(consts) - 1}])"
+        kernel = "POW" if float(p).is_integer() and p >= 0 else "POWC"
+        return f"{kernel}({a},C[{len(consts) - 1}]{tail}"
     if op not in _UNARY:
         raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
+    if out:
+        return f"NEG({a},{out})" if op == "neg" else _UNARY[op].format(a)[:-1] + tail
     return _UNARY[op].format(a)
 
 
@@ -735,7 +834,9 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
     (``last``: local -> the last chunk that reads it) to the next.  A
     point-only node reads its value from the point store K or computes and
     stores it; any other node computes into a local, with a stack axis when
-    ``stacked``, deleted after its last consumer.  Locals are named by
+    ``stacked``, deleted after its last consumer.  With a memory plan, a
+    slotted value is computed into its point buffer from P or its offset of
+    the arena A, B rows deep.  Locals are named by
     position, and the stored values' node ids and the constants are
     arguments, so the source depends on the graph's structure alone, and
     graphs of one structure share their compiled code, kept by digest."""
@@ -751,7 +852,12 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
         for child in node.inputs:
             last[names[child.nid]] = len(chunks) - 1
         w = names[node.nid] = f"w{k}"
-        value = _kernel(node, names, axis, consts)
+        out, o, n = None, plan.slots.get(node.nid), math.prod(node.shape)
+        if node.nid in plan.slots:
+            out = (f"BUF(P,I[{len(ids)}],{node.shape!r})" if fixed else
+                   f"A[{o}*B:{o + n}*B].reshape((B,)+{node.shape!r})" if stacked else
+                   f"A[{o}:{o + n}].reshape({node.shape!r})")
+        value = _kernel(node, names, axis, consts, out)
         if fixed:
             chunks[-1] += [f"{w}=K.get(I[{len(ids)}])",
                            f"if {w} is None:{w}=K[I[{len(ids)}]]={value}"]
@@ -762,7 +868,8 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
                 chunks[-1].append("del " + ",".join(names[n] for n in plan.frees[node.nid]))
     run, live, args = [], [], (tuple(ids), tuple(consts))
     for c, lines in enumerate(chunks):
-        head = ["def run(E,K,L,I,C):"] + ([",".join(live) + ",=L;L.clear()"] if live else [])
+        head = [f"def run(E,K,L,{'A,B,P,' if plan.slots else ''}I,C):"] + (
+            [",".join(live) + ",=L;L.clear()"] if live else [])
         live = [w for w in live + [line.split("=", 1)[0] for line in lines if line[0] == "w"]
                 if last.get(w, -1) > c]
         tail = f"return [{','.join(live)}]" if c < len(chunks) - 1 else f"return {names[root.nid]}"
@@ -787,7 +894,9 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
     leaves, and the arrays ``bound`` to the root.  Bound arrays compare by
     identity, which the entry keeps valid by holding them; env's leaves by
     bytes, so -0.0 and 0.0 differ.  A new point drops the old values before
-    computing any."""
+    computing any.  Its value map starts empty, so no value is read stale
+    from the point buffers that :func:`_run` keeps beside the entry and
+    overwrites at each new point."""
     key = []
     for name, value in env.items():
         if name == PARAM or not _is_direction(name):
@@ -810,20 +919,30 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
 
 
 def _run(root: Expr, env: Mapping[str, np.ndarray],
-         bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False) -> np.ndarray:
+         bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False,
+         arena: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the graph ``root`` with ``bound`` its bound arrays by its
     plan's generated code, reusing and storing point-only values at the
     point of env and the bound arrays in its program.  Env's direction
     leaves are plain values or, when ``stacked``, stacks of rows, which only
-    :func:`_rows` passes.  The result may be a stored array, so public
-    callers hand out copies."""
-    plan = _planned(root)
-    arrays, kept = _point_values(env, bound, _program(root).point)
+    :func:`_rows` passes.  A plan with a memory plan writes its values that
+    are not point-only into ``arena``, of at least its extent times the
+    rows, or into one of its own, and its point-only values into the
+    program's per-thread point buffers, {node id -> buffer}, which live as
+    long as the program.  The result is no buffer, but it may be a
+    stored array, so public callers hand out copies."""
+    plan, point = _planned(root), _program(root).point
+    arrays, kept = _point_values(env, bound, point)
+    extra = ()
+    if plan.slots:
+        rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
+        extra = (np.empty(rows * plan.extent) if arena is None else arena, rows,
+                 point.__dict__.setdefault("buffers", {}))
     env = {**env, **arrays}
     live = []
     with np.errstate(all="ignore"):
         for run in plan.code[stacked] or _generated(root, plan, stacked):
-            live = run(env, kept, live)
+            live = run(env, kept, live, *extra)
     return live
 
 
@@ -1096,14 +1215,17 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     if stacks and _planned(expr).grain >= FOLD_GRAIN:
         groups = _folds(expr, stacks)
     out = np.empty((rows,) + expr.shape)
-    for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]:
-        width = 1 if single else _planned(graph).width
+    groups = [(graph, index, parts, 1 if single else _planned(graph).width)
+              for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]]
+    arena = np.empty(max(_planned(graph).extent * min(width, len(index))
+                         for graph, index, _, width in groups))
+    for graph, index, parts, width in groups:
         for lo in range(0, len(index), width):
             for k, u in enumerate(parts, start=1):
                 env[_dir_name(k)] = u[lo] if single else u[lo:lo + width]
             n = min(width, len(index) - lo)
             counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-            out[index[lo:lo + n]] = _run(graph, env, bound, not single)
+            out[index[lo:lo + n]] = _run(graph, env, bound, not single, arena)
     return out[0] if single else out
 
 

@@ -63,15 +63,21 @@ def _values(name, shapes, rng, rows=()):
             for s in shapes]
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVES))
-def test_each_primitive_equals_its_numpy_call(name):
+def _check_primitive(name, wrap=lambda g: g):
+    """The primitive ``name`` under ``wrap`` (which must give its argument's
+    value bitwise), with each combination of leaf kinds, against its numpy
+    call: plain, read back from the point store, and stacked.  Returns the
+    roots and the primitive's nodes."""
     graph, call, shapes = PRIMITIVES[name]
     rng = np.random.default_rng(sorted(PRIMITIVES).index(name))
+    made = []
     # each leaf a direction leaf _u<k> (computed every pass, stacked in a
     # stacked call) or a point leaf x<k> (computed once per point and stored)
     for kinds in itertools.product(("_u", "x"), repeat=len(shapes)):
         names = [kind + str(k) for k, kind in enumerate(kinds, start=1)]
-        f = graph(*[var(n, s) for n, s in zip(names, shapes)])
+        node = graph(*[var(n, s) for n, s in zip(names, shapes)])
+        f = wrap(node)
+        made.append((f, node))
         plain = dict(zip(names, _values(name, shapes, rng)))
         want = np.asarray(call(*plain.values()))
         for _ in range(2):  # computed, then read back from the point store
@@ -86,6 +92,29 @@ def test_each_primitive_equals_its_numpy_call(name):
         for b in range(B):
             row = call(*[v[b] if n.startswith("_u") else v for n, v in stacked.items()])
             assert got[b].tobytes() == np.asarray(row).tobytes(), (kinds, b)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_each_primitive_equals_its_numpy_call(name):
+    _check_primitive(name)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_each_primitive_writes_into_its_buffer_bitwise(name, monkeypatch):
+    """At a grain of 0 every plan has a memory plan.  Under a root that
+    negates it and multiplies it by -1, so that it is not the root and the
+    constants list holds more than an exponent, each primitive that writes
+    into a buffer does so, into the arena when a leaf is a direction leaf
+    and into a point buffer when none is, and still gives the numpy call."""
+    monkeypatch.setattr(engine, "FOLD_GRAIN", 0)
+    made = _check_primitive(name, lambda g: engine.mul(engine.neg(g), engine.const(-1.0)))
+    for f, node in made:
+        slots = engine._planned(f).slots
+        assert (node.nid in slots) == (node.op in engine._SLOTTED and node.shape != ())
+        if node.nid in slots:
+            point_only = all(leaf.payload.startswith("x") for leaf in node.inputs)
+            assert (slots[node.nid] is None) == point_only
 
 
 def _u(shape=(3,)):

@@ -164,6 +164,22 @@ def test_a_dropped_loss_is_freed_at_del(widths, n):
     _without_the_collector(check)
 
 
+def test_a_dropped_loss_frees_its_point_buffers():
+    widths = (2, 32, 32, 2)  # a network whose plans have memory plans
+
+    def check():
+        spec = MlpSpec(widths=widths, seed=2)
+        f, theta0 = make_mlp(spec, synth_dataset("moons", 297, seed=0))
+        part = canonical_partition(theta0.shapes, mlp_labels(widths))
+        partitioned_newton_step(f, theta0, part, StepConfig(damping=0.3))
+        buffers = f.program.point.buffers
+        refs = [weakref.ref(next(iter(buffers.values()))), weakref.ref(f.program)]
+        del f, buffers
+        assert [ref() for ref in refs] == [None, None]
+
+    _without_the_collector(check)
+
+
 def test_compiled_code_holds_no_graph(monkeypatch):
     monkeypatch.setattr(engine, "_codes", {})  # so that this loss's code is compiled here
 

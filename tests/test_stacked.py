@@ -179,9 +179,9 @@ def test_single_directions_run_as_one_plain_pass(monkeypatch):
     bound = []
     run_pass = engine._run
 
-    def spy(root, env, arrays, stacked=False):
+    def spy(root, env, arrays, stacked=False, arena=None):
         bound.append(env[engine._dir_name(1)].shape)
-        return run_pass(root, env, arrays, stacked)
+        return run_pass(root, env, arrays, stacked, arena)
 
     monkeypatch.setattr(engine, "_run", spy)
     before = engine.counter.own()
