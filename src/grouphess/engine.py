@@ -58,13 +58,13 @@ directions: a single vector is one row run plain, and (B, P) stacks
 evaluate the direction-dependent nodes for many rows at once, each value
 carrying a leading stack axis; row b is bitwise equal to the call with the
 stacks' row b as plain vectors.  The rows form groups, one on the full
-graph or one per folded graph, each run in sweeps of a width its plan
-fixes from static shapes: one row's direction-dependent elements over the
-most of them alive at once under last-use freeing, so a sweep holds no
-more such memory than one unfreed row.  Sweeps scatter their rows into the
-result.  The counter's ``forward``, ``backward`` and ``passes`` stay
-logical: every row counts as one call, whether its values were computed,
-reused or stacked; ``sweeps`` is the physical count.
+graph or one per folded graph, each run in sweeps of the most rows whose
+arena (below) fits in ``BUDGET`` bytes, and at least one, scattered into
+the result.  :func:`evaluate_points` runs points as rows of the loss graph
+with theta set to the leaf _u1.  The counter's ``forward``, ``backward``
+and ``passes`` stay logical: every row counts as one call, whether its
+values were computed, reused or stacked, and a point as one ``evaluate``;
+``sweeps`` is the physical count of derivative rows.
 
 Rows are folded where that pays.  A masked direction is zero outside one
 tensor, so a row whose nonzeros lie at each level k in one tensor range
@@ -80,18 +80,18 @@ a row across a tensor boundary run unfolded.  Folding drops ``0 * x``
 terms: rows on finite inputs stay bitwise equal, but a non-finite x no
 longer makes NaN, and a zero may change its sign.
 
-Memory is planned statically at the same grain, per plan (a plan with no
-direction leaf counts the elements of all its nodes), so a large pass
-hands no pages back to the system to fault in again.  Each kernel but
-``sigmoid`` writes a value of rank one or more into a fixed buffer through
-numpy's ``out`` argument, bitwise as its allocating call: a value that is
-not point-only into an offset of one flat arena, first-fit by liveness or
-over an input that dies at an elementwise kernel, which one call of
-:func:`_rows` makes for all its sweeps and groups and drops on return; a
-point-only value into its node's buffer, which the program keeps per
-thread and overwrites at each new point.  Views keep their base's offset
-alive, and the root and what it views get no buffer, so no result aliases
-one.
+Memory is planned statically, per plan: each value of rank one or more
+that a kernel but ``sigmoid`` computes and that is not point-only gets an
+offset of a flat arena, its extent per row, first-fit by liveness or over
+an input that dies at an elementwise kernel; views keep their base's
+offset alive, and the root and what it views get none, so no result
+aliases a buffer.  At the fold grain (a plan with no direction leaf counts
+the elements of all its nodes) such kernels write through numpy's ``out``
+argument, bitwise as allocating, so a large pass hands no pages back to
+the system to fault in again: into the offset of an arena that one call of
+:func:`_rows` makes for all its sweeps and groups and drops on return, and
+a point-only value into its node's buffer, which the program keeps per
+thread and overwrites at each new point.
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ __all__ = [
     "bind",
     "substitute",
     "evaluate",
+    "evaluate_points",
     "gradient",
     "gradient_expr",
     "directional_derivative",
@@ -493,11 +494,11 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
 @dataclass(eq=False)
 class _Program:
     """What the engine derives from one graph: graphs by (root id, variable
-    name, (chain order, parameter shape) or tensor range per direction
-    level), plans by root id, and the per-thread store of
-    :func:`_point_values`.  The graph's root holds it; each derived root
-    joins it through a weak reference, so no root and its program form a
-    cycle, and a dropped root frees its program by reference counting."""
+    name, (chain order, parameter shape), order 0 setting theta to _u1, or
+    tensor range per direction level), plans by root id, and the per-thread
+    store of :func:`_point_values`.  The graph's root holds it; each derived
+    root joins it through a weak reference, so no root and its program form
+    a cycle, and a dropped root frees its program by reference counting."""
 
     derived: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
@@ -568,15 +569,14 @@ class _Plan(NamedTuple):
     whether each node is point-only (a const, a leaf that is no direction
     leaf _u<k>, or a node whose inputs are all point-only); ``frees``,
     consumer id -> ids of the values that are not point-only and die once
-    it has run; the sweep ``width``, held // peak rows, where held counts
-    one row's elements that are not point-only and peak the most of them
-    alive at once, both from static shapes; ``grain``, held // the number
-    of nodes that are not point-only, or the elements per node of a plan
-    whose nodes are all point-only; the memory plan, empty below a grain of
-    ``FOLD_GRAIN``: ``slots``, id -> offset in elements per row into the
-    arena for a value that is not point-only, None for a point-only one,
-    of every value a kernel writes into a buffer, and ``extent``, the
-    arena's elements per row; and ``code``, the functions generated for
+    it has run; the sweep ``width``, BUDGET // (8 * extent) rows and at
+    least one; ``grain``, one row's elements that are not point-only over
+    the number of nodes that hold them, or the elements per node of a plan
+    whose nodes are all point-only; ``slots``, empty below a grain of
+    ``FOLD_GRAIN``, id -> offset in elements per row into the arena for a
+    value that is not point-only, None for a point-only one, of every value
+    a kernel writes into a buffer; ``extent``, the arena's elements per
+    row, planned at every grain; and ``code``, the functions generated for
     plain and stacked calls."""
 
     order: list
@@ -636,23 +636,14 @@ def _planned(root: Expr) -> _Plan:
     for nid, consumer in last.items():
         if consumer is not None:
             frees.setdefault(consumer, []).append(nid)
-    size: dict[int, int] = {}
-    held = alive = peak = 0
-    for node, is_fixed in zip(order, fixed):
-        if is_fixed:
-            continue
-        n = size[node.nid] = math.prod(node.shape)
-        held += n
-        alive += n
-        if alive > peak:
-            peak = alive
-        for dead in frees.get(node.nid, ()):
-            alive -= size[dead]
-    grain = held // len(size) if size else sum(math.prod(n.shape) for n in order) // len(order)
-    slots, extent = _memory(order, fixed, frees, size) if grain >= FOLD_GRAIN else ({}, 0)
+    size = {n.nid: math.prod(n.shape) for n, is_fixed in zip(order, fixed) if not is_fixed}
+    grain = (sum(size.values()) // len(size) if size else
+             sum(math.prod(n.shape) for n in order) // len(order))
+    slots, extent = _memory(order, fixed, frees, size)
     order.pop()
-    return plans.setdefault(root.nid, _Plan(order, fixed, frees, held // peak if peak else 1,
-                                            grain, slots, extent, [None, None]))
+    return plans.setdefault(root.nid, _Plan(
+        order, fixed, frees, max(1, BUDGET // (8 * max(extent, 1))), grain,
+        slots if grain >= FOLD_GRAIN else {}, extent, [None, None]))
 
 
 def _memory(order: list, fixed: tuple, frees: dict, size: dict) -> tuple[dict, int]:
@@ -1156,6 +1147,12 @@ def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
 # 1.5k-1.9k, and saves 15-30% at 2.1k-3.9k and 2x at 12.4k-54.7k.
 FOLD_GRAIN = 2048
 
+# Arena bytes per sweep.  The 372 stencil rows at P=186 (extent 1,600; one
+# BLAS thread, 2-core x86 sandbox) took 24-28 ms at width 1, 11 at 4 and
+# 5.7-7.2 at 32-128 (81 here); order-2 and HVP rows measured flat across
+# widths 5-36, and h-bar rows at P=8,642 ran faster one at a time.
+BUDGET = 2**20
+
 
 def _folds(expr: Expr, stacks: list) -> list | None:
     """The rows of the (B, P) ``stacks`` grouped by the tensor range per
@@ -1194,14 +1191,16 @@ def _folds(expr: Expr, stacks: list) -> list | None:
 
 
 def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
-          dirs: Sequence[ArrayLike], backward: int) -> np.ndarray:
+          dirs: Sequence[ArrayLike], backward: int | None) -> np.ndarray:
     """Evaluate ``expr``, with ``bound`` its bound arrays and the direction
     leaves _u1.. set to ``dirs``: all single vectors, one row run plain, or
-    all (B, P) stacks with one B.  The rows form one group on ``expr`` or,
-    at a grain of ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each
-    runs in sweeps of at most its plan's width rows, scattered into the
-    result.  A row counts as a logical pass of depth ``backward``."""
-    pshape = np.asarray(env[PARAM]).shape
+    all (B, P) stacks with one B, P theta's shape in env or else the
+    stacks'.  The rows form one group on ``expr`` or, at a grain of
+    ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
+    sweeps of at most its plan's width rows, scattered into the result.  A
+    row counts as a logical pass of depth ``backward``, or as one forward
+    evaluation when it is None."""
+    pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:]
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
     want = pshape if single else stacks[0].shape[:1] + pshape
@@ -1217,16 +1216,35 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     out = np.empty((rows,) + expr.shape)
     groups = [(graph, index, parts, 1 if single else _planned(graph).width)
               for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]]
-    arena = np.empty(max(_planned(graph).extent * min(width, len(index))
-                         for graph, index, _, width in groups))
+    arena = np.empty(max((_planned(g).extent * min(w, len(i)) for g, i, _, w in groups
+                          if _planned(g).slots), default=0))
     for graph, index, parts, width in groups:
         for lo in range(0, len(index), width):
             for k, u in enumerate(parts, start=1):
                 env[_dir_name(k)] = u[lo] if single else u[lo:lo + width]
             n = min(width, len(index) - lo)
-            counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
+            if backward is None:
+                counter.add(forward=n)
+            else:
+                counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
             out[index[lo:lo + n]] = _run(graph, env, bound, not single, arena)
     return out[0] if single else out
+
+
+def evaluate_points(f: Expr, points: ArrayLike) -> np.ndarray:
+    """:func:`evaluate` at each row of the (B, P) ``points``: row b is
+    bitwise equal to ``evaluate(f, points[b])``.  The rows run through
+    :func:`_rows` on f with theta set to the direction leaf _u1, a graph
+    kept in f's program, and each counts as one ``evaluate`` does."""
+    f, bound = _unbind(f)
+    points = np.asarray(points, dtype=np.float64)
+    key = (0, points.shape[1:])  # substitute refuses a shape that is not theta's
+    graph = _program(f).derived.get((f.nid, key))
+    if graph is None:
+        graph = substitute(f, {PARAM: var(_dir_name(1), key[1])})
+        if graph is not f:  # f itself would hold its own program
+            _adopt(f, key, graph)
+    return _rows(graph, {}, bound, [points], None)
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:

@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -166,13 +166,14 @@ def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
     prefixes = list(combinations_with_replacement(range(s_count), d - 1))
     stacks = [masks[[prefix[k] for prefix in prefixes]] for k in range(d - 1)]
     w = np.reshape(gradient_of_nested(f, theta, stacks), (len(prefixes), -1))
-    columns = {prefix: group_sum(row * u, part) for prefix, row in zip(prefixes, w)}
+    columns = np.array([group_sum(row * u, part) for row in w])
 
-    entries = np.empty((s_count,) * d)
-    for idx in product(range(s_count), repeat=d):
-        srt = tuple(sorted(idx))
-        entries[idx] = columns[srt[1:]][srt[0]]
-    return SummaryTensor(d, s_count, entries)
+    # entry idx copies entry `first` of the column of `prefix`, where (first,
+    # *prefix) is idx sorted; prefixes and so their base-S codes are in order
+    weights = s_count ** np.arange(d - 2, -1, -1)
+    codes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1) @ weights
+    idx = np.sort(np.indices((s_count,) * d).reshape(d, -1), axis=0)
+    return SummaryTensor(d, s_count, columns[np.searchsorted(codes, weights @ idx[1:]), idx[0]])
 
 
 def pseudo_gradient(f: Expr, theta, part: Partition) -> np.ndarray:

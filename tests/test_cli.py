@@ -449,3 +449,57 @@ def test_mistyped_config_values_are_config_errors(tmp_path, capsys, command, ove
     assert main(command.split() + ["--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"x1,x2,label\n0.5,oops,0\n1.0,2.0,1\n", "non-numeric cell at row 2, column 'x2'"),
+    (b"x1,x2,label\n0.5,\xff\xfe,0\n1.0,2.0,1\n", "not UTF-8"),
+], ids=["non-numeric-cell", "not-utf-8"])
+def test_malformed_dataset_contents_exit_3(tmp_path, capsys, content, message):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(content)
+    path = write_config(tmp_path, problem={"kind": "mlp", "widths": [2, 3, 2],
+                                           "dataset": {"kind": "csv", "path": str(csv_path)}},
+                        out=str(tmp_path / "out"))
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime abort") and message in err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("run", "problem: {kind: cubic}\n", "problem.kind 'cubic' invalid"),
+    ("run", "partition: coarse\n", "partition 'coarse' invalid"),
+    ("run", "problem: {kind: mlp, dataset: {kind: spirals}}\n", "dataset.kind 'spirals' invalid"),
+    ("run", "problem: {kind: mlp, dataset: {kind: csv}}\n", "csv requires dataset.path"),
+    ("run", "partition: 'file:TMP/no-such-partition.json'\n", "partition file not found"),
+    ("check", "check: {tolerances: {gradient: 1.0e-6}}\n", "unknown check 'gradient'"),
+    ("run", "problem: {kind: [unclosed\n", "cannot parse config file"),
+    ("run", "- problem\n- method\n", "config root must be a mapping"),
+    ("run", "problem: 5\n", "config.problem: expected a mapping"),
+], ids=["unknown-problem-kind", "unknown-partition", "unknown-dataset-kind", "csv-without-path",
+        "missing-partition-file", "unknown-check-tolerance", "unparseable-yaml",
+        "root-not-a-mapping", "section-not-a-mapping"])
+def test_documented_config_errors_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.yaml"
+    out = "" if text[0] == "-" else f"out: '{tmp_path / 'out'}'\n"  # a list root takes no key
+    path.write_text(text.replace("TMP", str(tmp_path)) + out, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_inspect_inversion_falls_back_to_pinv_when_every_rung_is_singular():
+    from grouphess.cli import _invert_with_ladder
+    from grouphess.optimizers import DEFAULT_LADDER
+
+    # rung eps shifts the diagonal entry -eps to exactly 0, so every solve
+    # raises LinAlgError, and the unshifted matrix is singular too
+    hbar = np.diag([0.0] + [-eps for eps in DEFAULT_LADDER])
+    for _, shifted in [(None, hbar)] + [(eps, hbar + eps * np.eye(len(hbar)))
+                                        for eps in DEFAULT_LADDER]:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(shifted)
+    inv, meta = _invert_with_ladder(hbar)
+    assert meta == {"pseudo_inverse": True, "ladder_eps": None}
+    assert np.array_equal(inv, np.linalg.pinv(hbar))

@@ -201,3 +201,27 @@ def test_threads_that_generate_one_plan_at_once_agree(monkeypatch):
     fresh = make_mlp(spec, synth_dataset("moons", 47, seed=2))[0]  # another point, same graph
     gradient_of_nested(fresh, theta0, [stack])
     assert results == [gradient_of_nested(f, theta0, [stack]).tobytes()] * 4
+
+
+def test_a_full_code_cache_forgets_its_oldest_and_still_runs_every_plan(monkeypatch):
+    # the cache is full of entries older than any plan: each compile evicts
+    # the oldest, and the plans of a fresh loss run as with an empty cache
+    spec, data = MlpSpec(widths=(2, 5, 3, 2), seed=6), synth_dataset("moons", 23, seed=3)
+
+    def calls():
+        f, theta0 = make_mlp(spec, data)
+        stack = np.random.default_rng(5).normal(size=(3, theta0.size))
+        return [np.float64(engine.evaluate(f, theta0)).tobytes(),
+                engine.gradient(f, theta0).tobytes(),
+                gradient_of_nested(f, theta0, [stack]).tobytes(),
+                gradient_of_nested(f, theta0, [stack, stack[::-1]]).tobytes(),
+                engine.evaluate_points(f, theta0.values + stack).tobytes()]
+
+    monkeypatch.setattr(engine, "_codes", {})
+    want, compiled = calls(), len(engine._codes)
+    assert 0 < compiled < 1024
+    full = {("old", k): None for k in range(1024)}
+    monkeypatch.setattr(engine, "_codes", dict(full))
+    assert calls() == want
+    assert len(engine._codes) == 1024
+    assert [key for key in full if key in engine._codes] == list(full)[compiled:]

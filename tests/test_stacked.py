@@ -3,12 +3,13 @@
 ``gradient_of_nested`` takes (B, P) direction stacks and evaluates every
 direction-dependent node for a sweep of rows at once.  Each row must be
 bitwise equal to the pass with that row alone, and to the pass with 1-D
-directions; a sweep holds no more direction-dependent memory than one
-unfreed row; and the counter stays logical while ``sweeps`` counts what ran.
+directions; a sweep's arena stays within ``engine.BUDGET`` bytes; and the
+counter stays logical while ``sweeps`` counts what ran.
 """
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,8 +80,9 @@ def test_stacked_rows_equal_single_direction_calls(name, d, rows, seed):
     p = theta.size
     rng = np.random.default_rng(seed)
     theta = theta + 0.3 * rng.normal(size=p)
-    width = _width(f, p, d)
-    assert 1 <= width <= 16  # these graphs' widths are 1 to 7
+    with mock.patch.object(engine, "BUDGET", 2**14):  # narrow sweeps, so that rows cross them
+        width = _width(f, p, d)
+    assert 1 <= width <= 2**11  # these graphs' widths are 1 to 2,048 at this budget
     b = {"one": 1, "width": width, "width+1": width + 1, "S+3": MOONS_S + 3}[rows]
     stacks = [rng.normal(size=(b, p)) for _ in range(d)]
     out = gradient_of_nested(f, theta, stacks)
@@ -203,13 +205,6 @@ def test_direction_stacks_must_agree():
         gradient_of_nested(f, theta, [np.ones(p + 1)])
 
 
-def _moons_hvp_graphs():
-    for widths, n in (((2, 8, 8, 8, 2), 100), ((2, 32, 32, 2), 1000), ((2, 64, 64, 64, 2), 2000)):
-        f, theta, _ = _mlp(widths, n=n)
-        for d in (1, 2):
-            yield widths, d, _derivative_graph(f, theta.size, d)
-
-
 def _held_and_peak(expr):
     """Direction-dependent elements of one row of ``expr``, and the most of
     them alive at once when each is dropped after its last consumer."""
@@ -230,13 +225,19 @@ def _held_and_peak(expr):
                if not fixed), peak
 
 
-def test_sweep_width_keeps_a_sweep_within_one_unfreed_row():
-    for widths, d, expr in _moons_hvp_graphs():
-        held, peak = _held_and_peak(expr)
-        width = engine._planned(expr).width
-        assert width >= 1 and width * peak <= held < (width + 1) * peak, (widths, d)
-        if d == 1 and len(widths) == 5:  # the benchmark's moons networks
-            assert width == 5, widths
+def test_sweep_width_keeps_a_sweep_within_the_byte_budget():
+    for widths, n in (((2, 8, 8, 8, 2), 100), ((2, 32, 32, 2), 1000), ((2, 64, 64, 64, 2), 2000)):
+        f, theta, _ = _mlp(widths, n=n)
+        for d in (1, 2):
+            engine._planned(_derivative_graph(f, theta.size, d))
+        engine.evaluate_points(f, theta[None])  # the stencil graph
+        plans = list(f.program.plans.values())
+        assert len(plans) >= 6
+        for plan in plans:  # the widest sweep within the budget, or one row
+            assert plan.width == 1 or 8 * plan.width * plan.extent <= engine.BUDGET, widths
+            assert plan.extent == 0 or 8 * (plan.width + 1) * plan.extent > engine.BUDGET
+        if n == 100:  # the benchmark's moons-small: a step's S HVPs run in one sweep
+            assert _width(f, theta.size, 1) >= MOONS_S
 
 
 def test_freed_values_bound_one_hessian_vector_product():

@@ -173,6 +173,32 @@ def test_sum_collapse_and_symmetry_property(seed, d):
             assert rel_err(np.transpose(st_d.entries, perm), st_d.entries) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_summary_entries_are_the_sorted_index_copies_of_their_columns(monkeypatch, d):
+    # the gather equals the loop over every index tuple, and each entry is
+    # exactly the one computed for its index multiset
+    rng = np.random.default_rng(d)
+    t = var("theta", (6,))
+    f = reduce_sum(engine.tanh(t) * engine.exp(0.2 * t)) + 0.5 * dot(t, t)
+    theta, u = rng.normal(size=6), rng.normal(size=6)
+    part = custom_partition([(0, 5), (1,), (2, 3), (4,)])
+    calls = []
+    nested = summaries.gradient_of_nested
+    monkeypatch.setattr(summaries, "gradient_of_nested",
+                        lambda *args: calls.append(nested(*args)) or calls[-1])
+    entries = summary_tensor(f, theta, u, part, d).entries
+    prefixes = list(itertools.combinations_with_replacement(range(part.size), d - 1))
+    w = np.reshape(calls[0], (len(prefixes), -1))
+    columns = {prefix: group_sum(row * u, part) for prefix, row in zip(prefixes, w)}
+    want = np.empty((part.size,) * d)
+    for idx in itertools.product(range(part.size), repeat=d):
+        srt = tuple(sorted(idx))
+        want[idx] = columns[srt[1:]][srt[0]]
+    assert entries.tobytes() == want.tobytes()
+    for perm in itertools.permutations(range(d)):
+        assert np.transpose(entries, perm).tobytes() == entries.tobytes()
+
+
 # pseudo-gradient / pseudo-Hessian -------------------------------------------
 
 def test_pseudo_gradient_examples():
