@@ -11,14 +11,17 @@ every 16 steps.  Phase 2 builds ``--wide`` losses of the (2, 64, 64, 64, 2)
 network on 2,000 points (P = 8,642, as the ``moons-wide`` workload), takes
 one partitioned step on each, and drops it.  Every ``--every`` steps, and
 every tenth wide loss, it prints the resident set size, the number of live
-``Expr`` nodes after a full collection, and the entries of the engine's
-cache of compiled code (``engine._codes``, bounded at 1,024).  The three
-should stay flat.
+``Expr`` nodes after a full collection, the entries of the engine's cache
+of compiled code (``engine._codes``, bounded at 1,024), and the number of
+live threads (``threading.active_count()``).  All four should stay flat:
+the wide losses' h-bar rows run on the engine's second lane, one worker
+thread for the process, so there are at most 2 threads.
 """
 
 import argparse
 import gc
 import os
+import threading
 import time
 
 # BLAS sums must run in one order and on one thread: pin the threads before
@@ -46,7 +49,8 @@ def report(phase: str, count: int, start: float) -> None:
     gc.collect()
     live = sum(1 for obj in gc.get_objects() if type(obj) is engine.Expr)
     print(f"{phase:9s} {count:6d}  rss_mb={rss_mb():7.1f}  live_exprs={live:6d}  "
-          f"codes={len(engine._codes):5d}  elapsed_s={time.perf_counter() - start:7.1f}",
+          f"codes={len(engine._codes):5d}  threads={threading.active_count():2d}  "
+          f"elapsed_s={time.perf_counter() - start:7.1f}",
           flush=True)
 
 

@@ -89,19 +89,34 @@ aliases a buffer.  At the fold grain (a plan with no direction leaf counts
 the elements of all its nodes) such kernels write through numpy's ``out``
 argument, bitwise as allocating, so a large pass hands no pages back to
 the system to fault in again: into the offset of an arena that one call of
-:func:`_rows` makes for all its sweeps and groups and drops on return, and
-a point-only value into its node's buffer, which the program keeps per
-thread and overwrites at each new point.
+:func:`_rows` makes for each lane and drops on return, and a point-only
+value into its node's buffer, which the program keeps per thread and
+overwrites at each new point.
+
+Large sweeps run on two lanes.  In a process that may run on two CPUs
+(``CPUS``), a call of :func:`_rows` with two or more sweeps whose median
+arena holds ``BUDGET`` bytes or more (shorter sweeps lose more to threads
+than they overlap) runs them from the largest arena down in the caller and
+from the smallest up, while they fit the median's arena, in one worker
+thread (``_LANE``).  A zero-row pass over each graph first stores every
+point-only value, so the worker reads the caller's point store and writes
+nothing to it.  A sweep runs the same code on either lane, so no row depends on them;
+counting, planning and code generation stay in the caller, a worker's
+failure reaches it, and it never waits for a worker that has not begun.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
+import contextlib
 import hashlib
 import itertools
 import math
+import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType, MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -909,26 +924,31 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
     return arrays, values
 
 
+def _store(root: Expr, env: Mapping, bound: Mapping | None) -> tuple:
+    """The calling thread's point store of root's program: (point, values, buffers)."""
+    point = _program(root).point
+    return (*_point_values(env, bound, point), point.__dict__.setdefault("buffers", {}))
+
+
 def _run(root: Expr, env: Mapping[str, np.ndarray],
          bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False,
-         arena: np.ndarray | None = None) -> np.ndarray:
+         arena: np.ndarray | None = None, store: tuple | None = None) -> np.ndarray:
     """Evaluate the graph ``root`` with ``bound`` its bound arrays by its
-    plan's generated code, reusing and storing point-only values at the
-    point of env and the bound arrays in its program.  Env's direction
-    leaves are plain values or, when ``stacked``, stacks of rows, which only
-    :func:`_rows` passes.  A plan with a memory plan writes its values that
-    are not point-only into ``arena``, of at least its extent times the
-    rows, or into one of its own, and its point-only values into the
-    program's per-thread point buffers, {node id -> buffer}, which live as
-    long as the program.  The result is no buffer, but it may be a
-    stored array, so public callers hand out copies."""
-    plan, point = _planned(root), _program(root).point
-    arrays, kept = _point_values(env, bound, point)
+    plan's generated code, reusing and storing point-only values in
+    ``store``, by default the calling thread's :func:`_store`.  Env's
+    direction leaves are plain values or, when ``stacked``, stacks of rows,
+    which only :func:`_rows` passes.  A plan with a memory plan writes its
+    values that are not point-only into ``arena``, of at least its extent
+    times the rows, or into one of its own, and its point-only values into
+    the store's point buffers, {node id -> buffer}, which live as long as
+    the program.  The result is no buffer, but it may be a stored array, so
+    public callers hand out copies."""
+    plan = _planned(root)
+    arrays, kept, buffers = store or _store(root, env, bound)
     extra = ()
     if plan.slots:
         rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
-        extra = (np.empty(rows * plan.extent) if arena is None else arena, rows,
-                 point.__dict__.setdefault("buffers", {}))
+        extra = (np.empty(rows * plan.extent) if arena is None else arena, rows, buffers)
     env = {**env, **arrays}
     live = []
     with np.errstate(all="ignore"):
@@ -1153,6 +1173,12 @@ FOLD_GRAIN = 2048
 # widths 5-36, and h-bar rows at P=8,642 ran faster one at a time.
 BUDGET = 2**20
 
+# The CPUs this process may run on; the second lane, one thread started at its first job.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_LANE = ThreadPoolExecutor(1)
+if hasattr(os, "register_at_fork"):  # a forked child starts a worker of its own
+    os.register_at_fork(after_in_child=lambda: globals().update(_LANE=ThreadPoolExecutor(1)))
+
 
 def _folds(expr: Expr, stacks: list) -> list | None:
     """The rows of the (B, P) ``stacks`` grouped by the tensor range per
@@ -1197,9 +1223,9 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     all (B, P) stacks with one B, P theta's shape in env or else the
     stacks'.  The rows form one group on ``expr`` or, at a grain of
     ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
-    sweeps of at most its plan's width rows, scattered into the result.  A
-    row counts as a logical pass of depth ``backward``, or as one forward
-    evaluation when it is None."""
+    sweeps of at most its plan's width rows, scattered into the result, on
+    one or two lanes (see the module docstring).  A row counts as a logical
+    pass of depth ``backward``, or as one forward evaluation when it is None."""
     pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:]
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
@@ -1210,41 +1236,70 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     if single:
         stacks = [u[None] for u in stacks]
     rows = len(stacks[0]) if stacks else 1
-    groups = None
-    if stacks and _planned(expr).grain >= FOLD_GRAIN:
-        groups = _folds(expr, stacks)
-    out = np.empty((rows,) + expr.shape)
-    groups = [(graph, index, parts, 1 if single else _planned(graph).width)
-              for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]]
-    arena = np.empty(max((_planned(g).extent * min(w, len(i)) for g, i, _, w in groups
-                          if _planned(g).slots), default=0))
-    for graph, index, parts, width in groups:
+    store, out, sweeps = _store(expr, env, bound), np.empty((rows,) + expr.shape), []
+    groups = stacks and _planned(expr).grain >= FOLD_GRAIN and _folds(expr, stacks)
+    for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]:
+        plan = _planned(graph)
+        width = 1 if single else plan.width
         for lo in range(0, len(index), width):
-            for k, u in enumerate(parts, start=1):
-                env[_dir_name(k)] = u[lo] if single else u[lo:lo + width]
             n = min(width, len(index) - lo)
             if backward is None:
                 counter.add(forward=n)
             else:
                 counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-            out[index[lo:lo + n]] = _run(graph, env, bound, not single, arena)
+            sweeps.append((plan.extent * n if plan.slots else 0, graph, index[lo:lo + n], {
+                **env, **{_dir_name(k): u[lo] if single else u[lo:lo + n]
+                          for k, u in enumerate(parts, start=1)}}))
+    jobs, lock = collections.deque(sorted(sweeps, key=lambda sweep: sweep[0])), threading.Lock()
+
+    def drain(arena: np.ndarray, left: bool = False) -> None:
+        """Run jobs with ``arena`` from the right end or, when ``left``, from
+        the left end while they fit; a failure clears the jobs."""
+        try:
+            while True:
+                with lock:
+                    if not jobs or left and jobs[0][0] > arena.size:
+                        return
+                    _, graph, index, leaves = jobs.popleft() if left else jobs.pop()
+                out[index] = _run(graph, leaves, None, not single, arena, store)
+        except BaseException:
+            with lock:
+                jobs.clear()
+            raise
+
+    arena, lane = np.empty(jobs[-1][0] if jobs else 0), None
+    region = jobs[(len(jobs) - 1) // 2][0] if len(jobs) > 1 else 0  # the worker's arena
+    if 8 * region >= BUDGET and CPUS > 1:
+        for _, graph, _, leaves in {id(job[1]): job for job in jobs}.values():
+            _run(graph, {k: v[:0] if _is_direction(k) else v for k, v in leaves.items()},
+                 None, True, arena, store)  # zero rows: each point-only value, stored
+        with contextlib.suppress(RuntimeError):  # at interpreter exit, one lane
+            lane = _LANE.submit(drain, np.empty(region), True)
+    try:
+        drain(arena)
+    finally:
+        if lane is not None and not lane.cancel():
+            lane.result()
     return out[0] if single else out
+
+
+def _points_graph(f: Expr, pshape: tuple) -> Expr:
+    """f's graph with theta of ``pshape`` set to the leaf _u1, kept in f's program."""
+    f, key = _unbind(f)[0], (0, pshape)  # substitute refuses a shape that is not theta's
+    graph = _program(f).derived.get((f.nid, key))
+    if graph is None:
+        graph = substitute(f, {PARAM: var(_dir_name(1), pshape)})
+        if graph is not f:  # f itself would hold its own program
+            _adopt(f, key, graph)
+    return graph
 
 
 def evaluate_points(f: Expr, points: ArrayLike) -> np.ndarray:
     """:func:`evaluate` at each row of the (B, P) ``points``: row b is
     bitwise equal to ``evaluate(f, points[b])``.  The rows run through
-    :func:`_rows` on f with theta set to the direction leaf _u1, a graph
-    kept in f's program, and each counts as one ``evaluate`` does."""
-    f, bound = _unbind(f)
+    :func:`_rows` on :func:`_points_graph`, each counted as one ``evaluate``."""
     points = np.asarray(points, dtype=np.float64)
-    key = (0, points.shape[1:])  # substitute refuses a shape that is not theta's
-    graph = _program(f).derived.get((f.nid, key))
-    if graph is None:
-        graph = substitute(f, {PARAM: var(_dir_name(1), key[1])})
-        if graph is not f:  # f itself would hold its own program
-            _adopt(f, key, graph)
-    return _rows(graph, {}, bound, [points], None)
+    return _rows(_points_graph(f, points.shape[1:]), {}, _unbind(f)[1], [points], None)
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:

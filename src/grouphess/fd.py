@@ -41,9 +41,10 @@ def fd_nested_directional(f, theta: np.ndarray, dirs, h: float):
 
 def _unit_stencils(f, theta: np.ndarray, index: np.ndarray, h: float) -> np.ndarray:
     """fd_nested_directional along e_i for each i in each row of the (B, d)
-    ``index``, in calls of at most ``engine.BUDGET`` bytes of points."""
+    ``index``, in calls of one sweep of points of the engine's plan for
+    them, and at least one row."""
     n, (rows, d) = np.size(theta), index.shape
-    step = max(1, engine.BUDGET // (8 * n * 2**d))
+    step = max(1, engine._planned(engine._points_graph(f, (n,))).width >> d)
     out = np.empty(rows)
     for lo in range(0, rows, step):
         part = index[lo:lo + step].T

@@ -305,13 +305,16 @@ def mlp_labels(widths: Sequence[int]) -> list[str]:
 
 
 def _init_params(spec: MlpSpec) -> ParamVector:
-    rng = np.random.default_rng(spec.seed)
-    tensors = []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        a = spec.init_scale / math.sqrt(fan_in)
-        tensors.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
-        tensors.append(rng.uniform(-a, a, size=(fan_out,)))
-    return ParamVector.from_tensors(tensors)
+    """Spec's seeded initial parameters, read-only, kept in ``_inits`` while alive."""
+    params = _inits.get(spec)
+    if params is None:
+        rng, tensors = np.random.default_rng(spec.seed), []
+        for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+            a = spec.init_scale / math.sqrt(fan_in)
+            tensors.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
+            tensors.append(rng.uniform(-a, a, size=(fan_out,)))
+        params = _inits.setdefault(spec, ParamVector.from_tensors(tensors))
+    return params
 
 
 # The leaves a network's loss graph reads its rows from: the (n, widths[0])
@@ -320,6 +323,7 @@ FEATURES = "_x"
 TARGETS = "_y"
 
 _networks: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_inits: "weakref.WeakValueDictionary[MlpSpec, ParamVector]" = weakref.WeakValueDictionary()
 
 
 def _network(spec: MlpSpec, n: int) -> Expr:

@@ -111,10 +111,10 @@ def test_no_result_aliases_a_buffer(monkeypatch):
     arenas = []
     run_pass = engine._run
 
-    def spy(root, env, arrays, stacked=False, arena=None):
+    def spy(root, env, arrays, stacked=False, arena=None, store=None):
         if arena is not None:
             arenas.append(arena)
-        return run_pass(root, env, arrays, stacked, arena)
+        return run_pass(root, env, arrays, stacked, arena, store)
 
     monkeypatch.setattr(engine, "_run", spy)
     stack = _stack(theta, part)

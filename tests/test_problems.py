@@ -243,3 +243,14 @@ def test_mlp_init_deterministic():
     _, a = make_mlp(spec, data)
     _, b = make_mlp(spec, data)
     assert np.array_equal(a.values, b.values)
+
+
+def test_mlp_init_is_kept_per_spec_while_alive():
+    data = synth_dataset("blobs", 8, seed=0)
+    _, a = make_mlp(MlpSpec(widths=(2, 5, 2), seed=13), data)
+    _, b = make_mlp(MlpSpec(widths=(2, 5, 2), seed=13), data)
+    assert b is a and not a.values.flags.writeable
+    kept = a.values.copy()
+    del a, b
+    _, c = make_mlp(MlpSpec(widths=(2, 5, 2), seed=13), data)  # built again
+    assert c.values.tobytes() == kept.tobytes()

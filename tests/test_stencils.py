@@ -3,7 +3,7 @@
 ``grouphess.fd`` hands every point of a batch of stencils to
 ``engine.evaluate_points`` in one call.  Each value must be bitwise the
 one-``evaluate``-per-point loop below, below and above ``FOLD_GRAIN``, and
-across calls split by ``engine.BUDGET``; each point counts as one forward
+across calls of one sweep of the stencil plan; each point counts as one forward
 evaluation and no pass.
 """
 
@@ -70,10 +70,12 @@ def test_fd_gradient_split_across_calls_is_unchanged():
     want = _scalar_gradient(f, theta)
     calls = []
     points = engine.evaluate_points
-    with mock.patch.object(engine, "BUDGET", 8 * theta.size * 2 * 3), \
+    # the stencil plan's rows take 100 elements, so its sweeps are 6 points of 3 stencils
+    with mock.patch.object(engine, "BUDGET", 8 * 100 * 2 * 3), \
             mock.patch.object(engine, "evaluate_points",
                               lambda f, p: calls.append(len(p)) or points(f, p)):
         assert fd_gradient(f, theta).tobytes() == want.tobytes()
+    assert (_stencil_plan(f, theta.size).extent, _stencil_plan(f, theta.size).width) == (100, 6)
     assert calls == [6] * (theta.size // 3) + [2 * (theta.size % 3)] * (theta.size % 3 > 0)
 
 
