@@ -383,9 +383,9 @@ def cmd_inspect(cfg: dict, out_dir: Path, at: str) -> int:
 
     system = pseudo_hessian(f, theta, part)
     lab = list(part.labels) if part.labels else None
-    hashes = {"hbar": _write(out_dir / "hbar.json", _json(
-        _matrix_export("hbar", system.hbar, system.gbar, lab, step_stamp,
-                       {"point_fingerprint": system.fingerprint})))}
+    hashes = {"hbar": _write(out_dir / "hbar.json", _json(_matrix_export(
+        "hbar", system.hbar, system.gbar, lab, step_stamp,
+        {"point_fingerprint": hashlib.sha256(theta.values.tobytes()).hexdigest()[:16]})))}
 
     inv, meta = _invert_with_ladder(system.hbar)
     if inv is None:

@@ -46,8 +46,8 @@ bound losses of one graph used alternately at one theta are different
 points, so each switch computes the point-only values again.  A bound root
 cannot be part of a larger graph.
 
-A plan runs as straight-line Python generated from it, with plain
-directions or with stacks, at its first evaluation of each kind: a
+A plan runs as straight-line Python generated from it, plain or stacked,
+at its first evaluation of each kind, each kernel called by name: a
 point-only node reads its stored value or computes and stores it, and
 every other value is a local deleted after its last consumer, as the plan
 lists.  The code depends on the graph's structure alone, so graphs of one
@@ -445,7 +445,8 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
     ``mul`` and ``matmul`` of a zero, and ``add`` or a linear op of zeros
     alone, are zero; ``add`` of a zero and a full-shape operand is that
     operand; other zeros become zero constants.  Kept nodes keep their
-    inputs' order.  A bound ``f`` gives its graph's result, bound alike."""
+    inputs' order.  A bound ``f`` gives its graph's result, bound alike.
+    The nodes visited die at return, by reference counting."""
     if f.op == "bind":
         return _bound(substitute(f.inputs[0], leaves), f.payload)
     memo: dict[int, Expr | None] = {}  # node id -> rebuilt node, None for a zero
@@ -499,6 +500,7 @@ def substitute(f: Expr, leaves: Mapping[str, Expr]) -> Expr:
             new = node
         memo[node.nid] = new
     out = memo[f.nid]
+    del cut, build  # they close over each other: a cycle that would hold memo
     return const(np.zeros(f.shape)) if out is None else out
 
 
@@ -533,14 +535,18 @@ def _program(root: Expr) -> _Program:
     return program
 
 
-def _adopt(f: Expr, key, root: Expr) -> Expr:
-    """Keep ``root``, built fresh from ``f``, under ``key`` in f's program,
-    which it joins through a weak reference unless it is some graph's root."""
+def _kept(f: Expr, key, build) -> Expr:
+    """f's graph under ``key``, else ``build()``, kept in f's program unless it is f (which would
+    then hold its own program); a kept graph that is no graph's root joins the program weakly."""
     program = _program(f)
-    if getattr(root, "program", None) is None:
-        object.__setattr__(root, "program", weakref.ref(program))
-    program.derived[(f.nid, key)] = root
-    return root
+    graph = program.derived.get((f.nid, key))
+    if graph is None:
+        graph = build()
+        if graph is not f:
+            if getattr(graph, "program", None) is None:
+                object.__setattr__(graph, "program", weakref.ref(program))
+            program.derived[(f.nid, key)] = graph
+    return graph
 
 
 def bind(f: Expr, arrays: Mapping[str, ArrayLike]) -> Expr:
@@ -760,20 +766,21 @@ def _buffer(buffers: dict, nid: int, shape: tuple) -> np.ndarray:
     return out
 
 
-# The names generated code calls kernels by, and the source of each unary op on {}.
+# The names generated code calls kernels by, and the head of each unary op's call.
 _KERNELS = {"V": _leaf, "EXP": np.exp, "LOG": _log, "TANH": np.tanh, "LAE": np.logaddexp,
             "SIG": _sigmoid, "POW": np.power, "POWC": _power, "EMB": _embed,
             "SUM": np.add.reduce, "ADD": np.add, "MUL": np.multiply, "MATMUL": np.matmul,
             "NEG": np.negative, "BUF": _buffer}
-_UNARY = {"neg": "-{}", "exp": "EXP({})", "log": "LOG({})", "tanh": "TANH({})",
-          "softplus": "LAE(0.0,{})", "sigmoid": "SIG({})"}
+_UNARY = {"neg": "NEG(", "exp": "EXP(", "log": "LOG(", "tanh": "TANH(",
+          "softplus": "LAE(0.0,", "sigmoid": "SIG("}
 
 
 def _kernel(node: Expr, names: dict, axis: dict, consts: list, out: str | None = None) -> str:
     """The source that computes ``node`` from its inputs' ``names``, with
     ``axis`` telling which values carry a stack axis, into the buffer
-    ``out`` when given; exponents go to ``consts``.  Each op calls the
-    kernel of numpy's own operator or function (``np.sum`` is
+    ``out`` when given; exponents go to ``consts``.  Each op but a view
+    calls its ``_KERNELS`` name, ``NAME(inputs)`` or ``NAME(inputs,out)``:
+    numpy's kernel for its operator or function (``np.sum`` is
     ``np.add.reduce``) on a row of a plain value's layout, so every row is
     bitwise the value of its plain pass, with or without a buffer."""
     op, p = node.op, node.payload
@@ -781,45 +788,37 @@ def _kernel(node: Expr, names: dict, axis: dict, consts: list, out: str | None =
         return f"V(E,{p!r},{node.shape!r}{',1' if axis[node.nid] else ''})"
     x = node.inputs[0]
     a, stacked = names[x.nid], axis[x.nid]
-    if op in ("add", "mul", "matmul"):
-        y = node.inputs[1]
-        b, n = names[y.nid], len(node.shape)
-        if op == "matmul" and len(y.shape) == 1 and axis[y.nid]:  # a stacked vector
-            if out:
-                return f"MATMUL({a},{b}[...,None],{out}[...,None])[...,0]"
-            return f"({a}@{b}[...,None])[...,0]"
-        if op == "matmul":
-            return f"MATMUL({a},{b},{out})" if out else f"{a}@{b}"
-        lift = "{0}.reshape({0}.shape[:1]+{1!r})"  # a stacked lower-rank operand
-        if len(x.shape) < n and stacked:
-            a = lift.format(a, (1,) * (n - len(x.shape)) + x.shape)
-        elif len(y.shape) < n and axis[y.nid]:
-            b = lift.format(b, (1,) * (n - len(y.shape)) + y.shape)
-        if out:
-            return f"{op.upper()}({a},{b},{out})"
-        return f"{a}{'+' if op == 'add' else '*'}{b}"
     if op == "transpose":
         return f"{a}.swapaxes(-1,-2)" if stacked else f"{a}.T"
     if op == "reshape":
         return f"{a}.reshape({a}.shape[:1]+{p!r})" if stacked else f"{a}.reshape({p!r})"
     if op == "segment":
         return f"{a}[{':,' if stacked else ''}{p[0]}:{p[1]}]"
-    tail = f",{out})" if out else ")"  # a call's last argument is its buffer
+    put = f",{out}" if out else ""  # a call's last argument is its buffer
+    if op in ("add", "mul", "matmul"):
+        y = node.inputs[1]
+        b, n = names[y.nid], len(node.shape)
+        if op == "matmul" and len(y.shape) == 1 and axis[y.nid]:  # a stacked vector
+            return f"MATMUL({a},{b}[...,None]{put and put + '[...,None]'})[...,0]"
+        lift = "{0}.reshape({0}.shape[:1]+{1!r})"  # a stacked lower-rank operand, never matmul's
+        if len(x.shape) < n and stacked:
+            a = lift.format(a, (1,) * (n - len(x.shape)) + x.shape)
+        elif len(y.shape) < n and axis[y.nid]:
+            b = lift.format(b, (1,) * (n - len(y.shape)) + y.shape)
+        return f"{op.upper()}({a},{b}{put})"
     if op == "embed":
-        return f"EMB({a},{p[0]},{p[1]}{tail}"
+        return f"EMB({a},{p[0]},{p[1]}{put})"
     if op == "sum":  # axes count from the end, past any stack axis
         rank = len(x.shape)
         axes = tuple(range(-rank, 0)) if p is None else p - rank
-        return f"SUM({a},{axes!r}{',None' if out else ''}{tail}"
+        return f"SUM({a},{axes!r}{put and ',None' + put})"
     if op == "power":
         consts.append(p)
         kernel = "POW" if float(p).is_integer() and p >= 0 else "POWC"
-        return f"{kernel}({a},C[{len(consts) - 1}]{tail}"
+        return f"{kernel}({a},C[{len(consts) - 1}]{put})"
     if op not in _UNARY:
         raise EvaluationError(f"unknown primitive '{op}'")  # pragma: no cover
-    if out:
-        return f"NEG({a},{out})" if op == "neg" else _UNARY[op].format(a)[:-1] + tail
-    return _UNARY[op].format(a)
+    return f"{_UNARY[op]}{a}{put})"
 
 
 _codes: dict = {}  # digest of a generated source -> the code of its function
@@ -1058,23 +1057,26 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
     """
     if f.op == "bind":
         return _bound(gradient_expr(f.inputs[0], wrt, shape), f.payload)
-    out = _program(f).derived.get((f.nid, wrt))
-    if out is not None:
+    out = _kept(f, wrt, lambda: _adjoint(f, wrt))
+    if out is not f:
         return out
+    # constant w.r.t. wrt; not kept because the zero shape is caller-supplied
+    if shape is None:
+        raise EvaluationError(f"expression does not contain variable '{wrt}' "
+                              "and no shape was given for the zero gradient")
+    return const(np.zeros(shape))
+
+
+def _adjoint(f: Expr, wrt: str) -> Expr:
+    """The gradient graph of the scalar ``f`` for ``wrt``, or f itself if no leaf is ``wrt``."""
     if f.shape != ():
         raise EvaluationError(f"gradient expects a scalar expression, got shape {f.shape}")
-
     order = [*_planned(f).order, f]
     leaves = [node for node in order if node.op == "var" and node.payload == wrt]
     if len(leaves) > 1:
         raise EvaluationError(f"expression mixes two '{wrt}' leaves of different shapes")
     if not leaves:
-        # constant w.r.t. wrt; not kept because the zero shape is caller-supplied
-        if shape is None:
-            raise EvaluationError(f"expression does not contain variable '{wrt}' "
-                                  "and no shape was given for the zero gradient")
-        return const(np.zeros(shape))
-
+        return f
     leaf = leaves[0]
     # nodes whose value depends on the leaf
     dep: set[int] = {leaf.nid}
@@ -1096,9 +1098,7 @@ def gradient_expr(f: Expr, wrt: str = PARAM, shape: tuple | None = None) -> Expr
             adjoint[child.nid] = contrib if prev is None else add(prev, contrib)
     # zero if every path to the leaf dies in a derivative-free rule (x**0)
     out = adjoint.get(leaf.nid)
-    if out is None:
-        out = const(np.zeros(leaf.shape))
-    return _adopt(f, wrt, out)
+    return const(np.zeros(leaf.shape)) if out is None else out
 
 
 def gradient(f: Expr, theta) -> np.ndarray:
@@ -1154,11 +1154,8 @@ def _chain(f: Expr, d: int, pshape: tuple) -> Expr:
     if d == 0:
         return f
     prev = _chain(f, d - 1, pshape)
-    out = _program(prev).derived.get((prev.nid, (d, pshape)))
-    if out is None:
-        out = _adopt(prev, (d, pshape), dot(gradient_expr(prev, PARAM, shape=pshape),
-                                            var(_dir_name(d), pshape)))
-    return out
+    return _kept(prev, (d, pshape), lambda: dot(gradient_expr(prev, PARAM, shape=pshape),
+                                                var(_dir_name(d), pshape)))
 
 
 # Rows fold (see the module docstring) at a plan grain of at least this.
@@ -1207,11 +1204,9 @@ def _folds(expr: Expr, stacks: list) -> list | None:
     for key in np.unique(keys, axis=0):
         index = np.flatnonzero((keys == key).all(axis=1))
         ranges = tuple((int(starts[i]), int(stops[i])) for i in key)
-        graph = _program(expr).derived.get((expr.nid, ranges))
-        if graph is None:
-            leaves = {_dir_name(k): embed(var(_dir_name(k), (b - a,)), a, u.shape[1])
-                      for k, ((a, b), u) in enumerate(zip(ranges, stacks), start=1)}
-            graph = _adopt(expr, ranges, substitute(expr, leaves))
+        graph = _kept(expr, ranges, lambda: substitute(expr, {
+            _dir_name(k): embed(var(_dir_name(k), (b - a,)), a, u.shape[1])
+            for k, ((a, b), u) in enumerate(zip(ranges, stacks), start=1)}))
         groups.append((graph, index, [u[index, a:b] for u, (a, b) in zip(stacks, ranges)]))
     return groups
 
@@ -1219,14 +1214,14 @@ def _folds(expr: Expr, stacks: list) -> list | None:
 def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
           dirs: Sequence[ArrayLike], backward: int | None) -> np.ndarray:
     """Evaluate ``expr``, with ``bound`` its bound arrays and the direction
-    leaves _u1.. set to ``dirs``: all single vectors, one row run plain, or
-    all (B, P) stacks with one B, P theta's shape in env or else the
-    stacks'.  The rows form one group on ``expr`` or, at a grain of
+    leaves _u1.. set to ``dirs``: all single vectors (or none), one row run
+    plain, or all (B, P) stacks with one B, P theta's shape in env or else
+    the stacks'.  The rows form one group on ``expr`` or, at a grain of
     ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
     sweeps of at most its plan's width rows, scattered into the result, on
     one or two lanes (see the module docstring).  A row counts as a logical
     pass of depth ``backward``, or as one forward evaluation when it is None."""
-    pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:]
+    pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:] if dirs else ()
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
     want = pshape if single else stacks[0].shape[:1] + pshape
@@ -1285,13 +1280,8 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
 
 def _points_graph(f: Expr, pshape: tuple) -> Expr:
     """f's graph with theta of ``pshape`` set to the leaf _u1, kept in f's program."""
-    f, key = _unbind(f)[0], (0, pshape)  # substitute refuses a shape that is not theta's
-    graph = _program(f).derived.get((f.nid, key))
-    if graph is None:
-        graph = substitute(f, {PARAM: var(_dir_name(1), pshape)})
-        if graph is not f:  # f itself would hold its own program
-            _adopt(f, key, graph)
-    return graph
+    f = _unbind(f)[0]  # substitute refuses a shape that is not theta's
+    return _kept(f, (0, pshape), lambda: substitute(f, {PARAM: var(_dir_name(1), pshape)}))
 
 
 def evaluate_points(f: Expr, points: ArrayLike) -> np.ndarray:
@@ -1303,12 +1293,9 @@ def evaluate_points(f: Expr, points: ArrayLike) -> np.ndarray:
 
 
 def nested_directional(f: Expr, theta, dirs: Sequence[ArrayLike]) -> float:
-    """d-th derivative of ``f`` contracted with the given directions, one per
-    differentiation level.  Counts as one gradient-equivalent pass of depth d."""
-    if not dirs:  # f itself, counted as evaluate counts it
-        counter.add(forward=1)
-        return float(_run(*_derivative(f, theta, 0, False)))
-    return float(_rows(*_derivative(f, theta, len(dirs), False), dirs, len(dirs)))
+    """d-th derivative of ``f`` contracted with ``dirs``, one per level: one
+    gradient-equivalent pass of depth d, or at d = 0 one ``evaluate`` of f."""
+    return float(_rows(*_derivative(f, theta, len(dirs), False), dirs, len(dirs) or None))
 
 
 def gradient_of_nested(f: Expr, theta, dirs: Sequence[ArrayLike]) -> np.ndarray:

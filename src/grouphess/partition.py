@@ -150,7 +150,4 @@ def mask(v, part: Partition, s: int) -> np.ndarray:
     v = _check_length(v, part.total, "vector")
     if not (0 <= s < part.size):
         raise ValueError(f"group index {s} out of range for S={part.size}")
-    out = np.zeros_like(v)
-    idx = np.fromiter(part.groups[s], dtype=np.int64)
-    out[idx] = v[idx]
-    return out
+    return np.where(part._group_of == s, v, 0.0)

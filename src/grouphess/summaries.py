@@ -20,7 +20,6 @@ charges one pass per direction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from . import engine
 from .engine import Expr, gradient, gradient_of_nested, nested_directional
 from .partition import Partition, group_sum, mask
 
@@ -60,10 +58,6 @@ def nulled(x):
     if isinstance(x, (list, tuple)):
         return [nulled(v) for v in x]
     return x
-
-
-def _fingerprint(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +98,6 @@ class PseudoSystem:
     hbar: np.ndarray
     gbar: np.ndarray
     partition: Partition
-    fingerprint: str = ""
 
     def __post_init__(self) -> None:
         hbar = np.asarray(self.hbar, dtype=np.float64)
@@ -198,8 +191,7 @@ def pseudo_hessian(f: Expr, theta, part: Partition, g: np.ndarray | None = None)
     hbar = np.array([group_sum(row * g, part) for row in w]).T
     hbar = 0.5 * (hbar + hbar.T)
     gbar = group_sum(g * g, part)
-    env = engine._as_env(theta)
-    return PseudoSystem(hbar, gbar, part, _fingerprint(np.asarray(env[engine.PARAM])))
+    return PseudoSystem(hbar, gbar, part)
 
 
 @dataclass(frozen=True, eq=False)

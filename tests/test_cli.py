@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from grouphess import engine
-from grouphess.cli import DEFAULT_CONFIG, load_config, main
+from grouphess.cli import DEFAULT_CONFIG, build_problem, load_config, main
 
 
 def write_config(tmp_path, name="config.yaml", **overrides):
@@ -219,6 +220,25 @@ def test_inspect_checkpoint_stamps_steps(tmp_path):
     assert main(["inspect", "--config", str(path), "--at", "checkpoint"]) == 0
     hbar = json.loads((tmp_path / "out" / "hbar.json").read_text())
     assert hbar["step"] >= 1
+
+
+@pytest.mark.parametrize("at", ["init", "checkpoint"])
+def test_inspect_fingerprints_the_point_it_inspects(tmp_path, at):
+    path = write_config(
+        tmp_path,
+        problem={"kind": "mlp", "widths": [2, 3, 2], "dataset": {"kind": "moons", "n": 20}},
+        method="partitioned",
+        step={"max_iterations": 3},
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert main(["inspect", "--config", str(path), "--at", at,
+                 "--out", str(tmp_path / "ins")]) == 0
+    final = json.loads((tmp_path / "run" / "final_params.json").read_text())["values"]
+    init = build_problem(load_config(str(path)))[1].values
+    assert not np.array_equal(final, init)
+    point = np.array(final if at == "checkpoint" else init, dtype=np.float64)
+    hbar = json.loads((tmp_path / "ins" / "hbar.json").read_text())
+    assert hbar["point_fingerprint"] == hashlib.sha256(point.tobytes()).hexdigest()[:16]
 
 
 def test_check_quadratic_battery_passes(tmp_path, capsys):

@@ -83,6 +83,14 @@ def test_mask_examples():
     assert np.array_equal(mask(v, trivial_partition(3), 0), v)
     with pytest.raises(ValueError):
         mask(v, part, 2)
+    # -0.0 and NaN are kept inside the group, and +0.0 is written outside it
+    w = np.array([-0.0, np.nan, -0.0, np.nan])
+    halves = custom_partition([(0, 1), (2, 3)])
+    inside, outside = mask(w, halves, 0), mask(w, halves, 1)
+    assert np.signbit(inside).tolist() == [True, False, False, False]
+    assert np.isnan(inside).tolist() == [False, True, False, False]
+    assert np.signbit(outside).tolist() == [False, False, True, False]
+    assert np.isnan(outside).tolist() == [False, False, False, True]
 
 
 def test_length_validation():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from grouphess import engine
-from grouphess.engine import PARAM, Expr, evaluate, gradient_of_nested, reduce_sum, var
+from grouphess.engine import (PARAM, Expr, evaluate, evaluate_points, gradient_of_nested,
+                              reduce_sum, var)
 from grouphess.optimizers import StepConfig, partitioned_newton_step, run
 from grouphess.partition import canonical_partition
 from grouphess.problems import (MlpSpec, QuadraticSpec, make_mlp, make_quadratic, mlp_labels,
@@ -36,9 +37,14 @@ def _minibatch_losses(count, seed):
     return losses, theta0, part
 
 
+def _exprs():
+    """The ``Expr`` nodes alive, garbage in cycles included."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is Expr)
+
+
 def _live_exprs():
     gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is Expr)
+    return _exprs()
 
 
 def test_dropped_losses_are_freed():
@@ -146,20 +152,29 @@ def _without_the_collector(check):
             gc.enable()
 
 
-@pytest.mark.parametrize("widths,n", [(WIDTHS, 37), ((2, 32, 32, 2), 298)])
+@pytest.mark.parametrize("widths,n", [(WIDTHS, 37), ((2, 32, 32, 2), 298), (None, 5)])
 def test_a_dropped_loss_is_freed_at_del(widths, n):
-    # row counts that no other test uses, so nothing else holds the graph
+    # row counts that no other test uses, so nothing else holds the graph;
+    # no widths: a bound loss without theta, whose points graph is itself
     def check():
-        spec = MlpSpec(widths=widths, seed=2)
-        f, theta0 = make_mlp(spec, synth_dataset("moons", n, seed=0))
-        part = canonical_partition(theta0.shapes, mlp_labels(widths))
-        partitioned_newton_step(f, theta0, part, StepConfig(damping=0.3))
-        summary_tensor(f, theta0, np.ones(theta0.size), part, 2)
-        folded = [key for key in f.program.derived if isinstance(key[1][0], tuple)]
-        assert bool(folded) == (widths != WIDTHS)  # the wide network's rows fold
+        before = _exprs()
+        if widths is None:
+            x = var("theta_free", (n,))
+            f = engine.bind(reduce_sum(engine.tanh(x) * x), {"theta_free": np.arange(n) / n})
+            del x
+            evaluate_points(f, np.zeros((3, 4)))
+        else:
+            spec = MlpSpec(widths=widths, seed=2)
+            f, theta0 = make_mlp(spec, synth_dataset("moons", n, seed=0))
+            part = canonical_partition(theta0.shapes, mlp_labels(widths))
+            partitioned_newton_step(f, theta0, part, StepConfig(damping=0.3))
+            summary_tensor(f, theta0, np.ones(theta0.size), part, 2)
+            folded = [key for key in f.program.derived if isinstance(key[1][0], tuple)]
+            assert bool(folded) == (widths != WIDTHS)  # the wide network's rows fold
         refs = [weakref.ref(obj) for obj in (f, engine._unbind(f)[0], f.program)]
         del f
         assert [ref() for ref in refs] == [None, None, None]
+        assert _exprs() == before
 
     _without_the_collector(check)
 
