@@ -17,9 +17,9 @@ next to its configs, three non-finite config values (a NaN regularization
 eps, an infinite damping, a NaN moons noise), and a softmax network whose
 logits overflow, so that its curvature is non-finite.  Last, a (2, 32, 32, 2)
 network on 1,000 moons points, partitioned, 5 iterations: its plans are
-above the engine's ``FOLD_GRAIN``, so its rows fold and its values are
-written into planned buffers, where every case before it runs below the
-grain.  Each case runs
+above the engine's ``FOLD_GRAIN``, so its rows fold, where every case
+before it runs below the grain, unfolded.  Every case writes its values
+into planned buffers.  Each case runs
 ``run``, ``inspect --at init``, ``inspect --at checkpoint`` and ``check
 --order 3`` in-process through ``grouphess.cli.main``.  Wall times
 (``wall_time`` in trace.json) and the output directory (``config.out`` in

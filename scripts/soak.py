@@ -14,8 +14,9 @@ every tenth wide loss, it prints the resident set size, the number of
 ``Expr`` nodes before (``exprs``) and after (``live_exprs``) a full
 collection, so that a reference cycle shows as a gap between the two, the
 entries of the engine's cache of compiled code (``engine._codes``, bounded
-at 1,024), and the number of live threads (``threading.active_count()``).
-All should stay flat:
+at 1,024), the number of live threads (``threading.active_count()``), and
+the minor page faults per step since the previous report (``faults``, the
+``ru_minflt`` delta, the reports' own excluded).  All should stay flat:
 the wide losses' h-bar rows run on the engine's second lane, one worker
 thread for the process, so there are at most 2 threads.
 """
@@ -23,6 +24,7 @@ thread for the process, so there are at most 2 threads.
 import argparse
 import gc
 import os
+import resource
 import threading
 import time
 
@@ -52,14 +54,25 @@ def exprs() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is engine.Expr)
 
 
+def minor_faults() -> int:
+    """The minor page faults this process has taken."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+_previous = {"phase": "", "count": 0, "faults": 0}  # at the end of the last report
+
+
 def report(phase: str, count: int, start: float) -> None:
-    held = exprs()
+    faults, held = minor_faults() - _previous["faults"], exprs()
+    steps = count - _previous["count"] if phase == _previous["phase"] else count
     gc.collect()
     print(f"{phase:9s} {count:6d}  rss_mb={rss_mb():7.1f}  exprs={held:6d}  "
           f"live_exprs={exprs():6d}  "
           f"codes={len(engine._codes):5d}  threads={threading.active_count():2d}  "
+          f"faults={faults / max(steps, 1):8.1f}  "
           f"elapsed_s={time.perf_counter() - start:7.1f}",
           flush=True)
+    _previous.update(phase=phase, count=count, faults=minor_faults())
 
 
 def minibatch_phase(steps: int, every: int, start: float) -> None:

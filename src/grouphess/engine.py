@@ -85,9 +85,8 @@ that a kernel but ``sigmoid`` computes and that is not point-only gets an
 offset of a flat arena, its extent per row, first-fit by liveness or over
 an input that dies at an elementwise kernel; views keep their base's
 offset alive, and the root and what it views get none, so no result
-aliases a buffer.  At the fold grain (a plan with no direction leaf counts
-the elements of all its nodes) such kernels write through numpy's ``out``
-argument, bitwise as allocating, so a large pass hands no pages back to
+aliases a buffer.  In every plan such kernels write through numpy's
+``out`` argument, bitwise as allocating, so a pass hands no pages back to
 the system to fault in again: into the offset of an arena that one call of
 :func:`_rows` makes for each lane and drops on return, and a point-only
 value into its node's buffer, which the program keeps per thread and
@@ -96,11 +95,12 @@ overwrites at each new point.
 Large sweeps run on two lanes.  In a process that may run on two CPUs
 (``CPUS``), a call of :func:`_rows` with two or more sweeps whose median
 arena holds ``BUDGET`` bytes or more (shorter sweeps lose more to threads
-than they overlap) runs them from the largest arena down in the caller and
-from the smallest up, while they fit the median's arena, in one worker
-thread (``_LANE``).  A zero-row pass over each graph first stores every
-point-only value, so the worker reads the caller's point store and writes
-nothing to it.  A sweep runs the same code on either lane, so no row depends on them;
+than they overlap; by the width rule, only single rows can hold more)
+runs them from the largest arena down in the caller and from the smallest
+up, while they fit the median's arena, in one worker thread (``_LANE``).
+A zero-row pass over each graph first stores every point-only value, so
+the worker reads the caller's point store and writes nothing to it.  A
+sweep runs the same code on either lane, so no row depends on them;
 counting, planning and code generation stay in the caller, a worker's
 failure reaches it, and it never waits for a worker that has not begun.
 """
@@ -592,13 +592,11 @@ class _Plan(NamedTuple):
     consumer id -> ids of the values that are not point-only and die once
     it has run; the sweep ``width``, BUDGET // (8 * extent) rows and at
     least one; ``grain``, one row's elements that are not point-only over
-    the number of nodes that hold them, or the elements per node of a plan
-    whose nodes are all point-only; ``slots``, empty below a grain of
-    ``FOLD_GRAIN``, id -> offset in elements per row into the arena for a
-    value that is not point-only, None for a point-only one, of every value
-    a kernel writes into a buffer; ``extent``, the arena's elements per
-    row, planned at every grain; and ``code``, the functions generated for
-    plain and stacked calls."""
+    the number of nodes that hold them, 0 when all are point-only;
+    ``slots``, id -> offset in elements per row into the arena for a value
+    that is not point-only, None for a point-only one, of every value a
+    kernel writes into a buffer; ``extent``, the arena's elements per row;
+    and ``code``, the functions generated for plain and stacked calls."""
 
     order: list
     fixed: tuple
@@ -658,13 +656,11 @@ def _planned(root: Expr) -> _Plan:
         if consumer is not None:
             frees.setdefault(consumer, []).append(nid)
     size = {n.nid: math.prod(n.shape) for n, is_fixed in zip(order, fixed) if not is_fixed}
-    grain = (sum(size.values()) // len(size) if size else
-             sum(math.prod(n.shape) for n in order) // len(order))
     slots, extent = _memory(order, fixed, frees, size)
     order.pop()
     return plans.setdefault(root.nid, _Plan(
-        order, fixed, frees, max(1, BUDGET // (8 * max(extent, 1))), grain,
-        slots if grain >= FOLD_GRAIN else {}, extent, [None, None]))
+        order, fixed, frees, max(1, BUDGET // (8 * max(extent, 1))),
+        sum(size.values()) // len(size) if size else 0, slots, extent, [None, None]))
 
 
 def _memory(order: list, fixed: tuple, frees: dict, size: dict) -> tuple[dict, int]:
@@ -839,12 +835,12 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
     (``last``: local -> the last chunk that reads it) to the next.  A
     point-only node reads its value from the point store K or computes and
     stores it; any other node computes into a local, with a stack axis when
-    ``stacked``, deleted after its last consumer.  With a memory plan, a
-    slotted value is computed into its point buffer from P or its offset of
-    the arena A, B rows deep.  Locals are named by
-    position, and the stored values' node ids and the constants are
-    arguments, so the source depends on the graph's structure alone, and
-    graphs of one structure share their compiled code, kept by digest."""
+    ``stacked``, deleted after its last consumer.  A slotted value is
+    computed into its point buffer from P or its offset of the arena A, B
+    rows deep.  Locals are named by position, and the stored values' node
+    ids and the constants are arguments, so the source depends on the
+    graph's structure alone, and graphs of one structure share their
+    compiled code, kept by digest."""
     names, axis, ids, consts, chunks, last = {}, {}, [], [], [], {}
     for k, (node, fixed) in enumerate(zip(itertools.chain(plan.order, (root,)), plan.fixed)):
         if k % _CHUNK == 0:
@@ -873,7 +869,7 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
                 chunks[-1].append("del " + ",".join(names[n] for n in plan.frees[node.nid]))
     run, live, args = [], [], (tuple(ids), tuple(consts))
     for c, lines in enumerate(chunks):
-        head = [f"def run(E,K,L,{'A,B,P,' if plan.slots else ''}I,C):"] + (
+        head = ["def run(E,K,L,A,B,P,I,C):"] + (
             [",".join(live) + ",=L;L.clear()"] if live else [])
         live = [w for w in live + [line.split("=", 1)[0] for line in lines if line[0] == "w"]
                 if last.get(w, -1) > c]
@@ -936,23 +932,21 @@ def _run(root: Expr, env: Mapping[str, np.ndarray],
     plan's generated code, reusing and storing point-only values in
     ``store``, by default the calling thread's :func:`_store`.  Env's
     direction leaves are plain values or, when ``stacked``, stacks of rows,
-    which only :func:`_rows` passes.  A plan with a memory plan writes its
-    values that are not point-only into ``arena``, of at least its extent
-    times the rows, or into one of its own, and its point-only values into
-    the store's point buffers, {node id -> buffer}, which live as long as
-    the program.  The result is no buffer, but it may be a stored array, so
-    public callers hand out copies."""
+    which only :func:`_rows` passes.  The plan's slotted values that are
+    not point-only go into ``arena``, of at least its extent times the rows,
+    or into one of its own, and its point-only ones into the store's point
+    buffers, {node id -> buffer}, which live as long as the program.  The
+    result is no buffer, but it may be a stored array, so public callers
+    hand out copies."""
     plan = _planned(root)
     arrays, kept, buffers = store or _store(root, env, bound)
-    extra = ()
-    if plan.slots:
-        rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
-        extra = (np.empty(rows * plan.extent) if arena is None else arena, rows, buffers)
+    rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
+    arena = np.empty(rows * plan.extent) if arena is None else arena
     env = {**env, **arrays}
     live = []
     with np.errstate(all="ignore"):
         for run in plan.code[stacked] or _generated(root, plan, stacked):
-            live = run(env, kept, live, *extra)
+            live = run(env, kept, live, arena, rows, buffers)
     return live
 
 
@@ -1218,9 +1212,10 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     plain, or all (B, P) stacks with one B, P theta's shape in env or else
     the stacks'.  The rows form one group on ``expr`` or, at a grain of
     ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
-    sweeps of at most its plan's width rows, scattered into the result, on
-    one or two lanes (see the module docstring).  A row counts as a logical
-    pass of depth ``backward``, or as one forward evaluation when it is None."""
+    sweeps of at most its plan's width rows, each in an arena of the plan's
+    extent per row, scattered into the result, on one or two lanes (see the
+    module docstring).  A row counts as a logical pass of depth
+    ``backward``, or as one forward evaluation when it is None."""
     pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:] if dirs else ()
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
@@ -1242,7 +1237,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
                 counter.add(forward=n)
             else:
                 counter.add(forward=n, backward=n * backward, passes=n, sweeps=1)
-            sweeps.append((plan.extent * n if plan.slots else 0, graph, index[lo:lo + n], {
+            sweeps.append((plan.extent * n, graph, index[lo:lo + n], {
                 **env, **{_dir_name(k): u[lo] if single else u[lo:lo + n]
                           for k, u in enumerate(parts, start=1)}}))
     jobs, lock = collections.deque(sorted(sweeps, key=lambda sweep: sweep[0])), threading.Lock()

@@ -101,13 +101,12 @@ def test_each_primitive_equals_its_numpy_call(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
-def test_each_primitive_writes_into_its_buffer_bitwise(name, monkeypatch):
-    """At a grain of 0 every plan has a memory plan.  Under a root that
-    negates it and multiplies it by -1, so that it is not the root and the
-    constants list holds more than an exponent, each primitive that writes
-    into a buffer does so, into the arena when a leaf is a direction leaf
-    and into a point buffer when none is, and still gives the numpy call."""
-    monkeypatch.setattr(engine, "FOLD_GRAIN", 0)
+def test_each_primitive_writes_into_its_buffer_bitwise(name):
+    """Under a root that negates it and multiplies it by -1, so that it is
+    not the root and the constants list holds more than an exponent, each
+    primitive that writes into a buffer does so, into the arena when a leaf
+    is a direction leaf and into a point buffer when none is, and still
+    gives the numpy call."""
     made = _check_primitive(name, lambda g: engine.mul(engine.neg(g), engine.const(-1.0)))
     for f, node in made:
         slots = engine._planned(f).slots

@@ -23,13 +23,14 @@ import pytest
 from grouphess import engine
 from grouphess.engine import (EvaluationError, PassCounts, evaluate_points, gradient,
                               gradient_of_nested)
-from grouphess.fd import fd_nested_directional
+from grouphess.fd import fd_gradient, fd_nested_directional
 from grouphess.partition import canonical_partition, mask
 from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
-from grouphess.summaries import pseudo_hessian
+from grouphess.summaries import pseudo_hessian, summary_tensor
 
 WIDE = (2, 64, 64, 64, 2)  # P = 8,642 on 2,000 points, as the moons-wide benchmark
 MID = (2, 32, 32, 2)  # P = 1,218 in 6 tensors; on 3,000 points h-bar's median sweep takes 2.4 MB
+SMALL = (2, 8, 8, 8, 2)  # P = 186 on 100 points, as the check-order3 benchmark; below the grain
 
 
 def _loss(widths, n):
@@ -128,19 +129,29 @@ def test_stencil_points_above_the_grain_are_bitwise_one_lane(monkeypatch, wide):
     assert used2 == used1 == PassCounts(forward=3 + 2 * 3)
 
 
-def test_short_sweeps_above_the_grain_run_on_one_lane(monkeypatch):
-    f, theta, part = _loss(MID, 300)  # h-bar's median sweep arena: 0.32 MB
-    assert engine._planned(engine._derivative(f, theta, 1, True)[0]).grain >= engine.FOLD_GRAIN
-    threads, run = set(), engine._run
+@pytest.mark.parametrize("widths, n, call", [
+    (MID, 300, lambda f, theta, part: gradient_of_nested(f, theta, [_masks(theta, part)])),
+    (SMALL, 100, lambda f, theta, part: pseudo_hessian(f, theta, part)),
+    (SMALL, 100, lambda f, theta, part: summary_tensor(f, theta, _masks(theta, part)[0] + 1.0,
+                                                       part, 3)),
+    (SMALL, 100, lambda f, theta, part: fd_gradient(f, theta)),
+], ids=["hbar-above-the-grain", "pseudo-hessian", "order3-summary-tensor", "fd-gradient"])
+def test_short_sweeps_run_on_one_lane(monkeypatch, widths, n, call):
+    f, theta, part = _loss(widths, n)  # MID: h-bar's median sweep arena is 0.32 MB
+    grain = engine._planned(engine._derivative(f, theta, 1, True)[0]).grain
+    assert (grain >= engine.FOLD_GRAIN) == (widths == MID)
+    threads, arenas, run = set(), [], engine._run
 
-    def spy(*args):
+    def spy(root, env, bound=None, stacked=False, arena=None, store=None):
         threads.add(threading.get_ident())
-        return run(*args)
+        arenas.append(0 if arena is None else arena.size)
+        return run(root, env, bound, stacked, arena, store)
 
     monkeypatch.setattr(engine, "CPUS", 2)
     monkeypatch.setattr(engine, "_run", spy)
-    gradient_of_nested(f, theta, [_masks(theta, part)])
+    call(f, theta, part)
     assert threads == {threading.get_ident()}
+    assert max(arenas) > 0  # its plans write into arenas
 
 
 def test_callers_at_different_points_each_get_their_one_lane_rows(monkeypatch, mid):

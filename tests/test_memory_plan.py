@@ -1,4 +1,4 @@
-"""The static memory plan of a plan at or above ``engine.FOLD_GRAIN``.
+"""The static memory plan of every plan, below and above ``engine.FOLD_GRAIN``.
 
 Each value a kernel writes goes into a buffer: a value that depends on a
 direction into an arena offset packed by liveness, a point-only value into
@@ -13,19 +13,26 @@ import math
 import threading
 
 import numpy as np
+import pytest
 
 from grouphess import engine
 from grouphess.engine import PARAM, gradient, gradient_expr, gradient_of_nested
+from grouphess.fd import fd_gradient
 from grouphess.partition import canonical_partition, mask
 from grouphess.problems import MlpSpec, make_mlp, mlp_labels, synth_dataset
 
 WIDE = (2, 32, 32, 2)  # P = 1,218 in 6 tensors
+SMALL = (2, 8, 8, 8, 2)  # P = 186; on 100 points every plan is below the grain
 
 
 @functools.lru_cache(maxsize=None)
+def _loss(widths, n):
+    f, theta0 = make_mlp(MlpSpec(widths, seed=2), synth_dataset("moons", n, seed=0))
+    return f, theta0.values, canonical_partition(theta0.shapes, mlp_labels(widths))
+
+
 def _wide():
-    f, theta0 = make_mlp(MlpSpec(WIDE, seed=2), synth_dataset("moons", 300, seed=0))
-    return f, theta0.values, canonical_partition(theta0.shapes, mlp_labels(WIDE))
+    return _loss(WIDE, 300)
 
 
 def _graph(f, p, d=1):
@@ -66,19 +73,29 @@ def _handed_over(nodes, first, last, first2):
             and nodes[first] in node.inputs and nodes[first].shape == node.shape)
 
 
-def test_values_alive_at_once_never_share_arena_elements():
-    f, theta, part = _wide()
-    gradient_of_nested(f, theta, [_stack(theta, part)])  # derives the folded graphs
+@pytest.mark.parametrize("widths, n", [(SMALL, 100), (WIDE, 300)],
+                         ids=["below-the-grain", "above-the-grain"])
+def test_values_alive_at_once_never_share_arena_elements(monkeypatch, widths, n):
+    f, theta, part = _loss(widths, n)
+    arenas, run_pass = [], engine._run
+
+    def spy(root, env, arrays, stacked=False, arena=None, store=None):
+        if arena is not None:
+            arenas.append(arena)
+        return run_pass(root, env, arrays, stacked, arena, store)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    stack = _stack(theta, part)
+    results = [gradient_of_nested(f, theta, [stack]),  # HVP rows, folded above the grain
+               gradient_of_nested(f, theta, [stack, stack]),  # order-2 rows
+               fd_gradient(f, theta)]  # stencil points
     full = [_graph(f, theta.size, d) for d in (1, 2)]
-    graphs = full + [g for key, g in f.program.derived.items() if isinstance(key[1][0], tuple)]
-    assert len(graphs) > 2
-    for graph in graphs:
+    folds = [g for key, g in f.program.derived.items() if isinstance(key[1][0], tuple)]
+    assert bool(folds) == (engine._planned(full[0]).grain >= engine.FOLD_GRAIN)
+    assert all(len(_arena_values(graph)[2]) > 10 for graph in full)
+    for graph in f.program.derived.values():  # every derived graph has its memory plan
         plan, nodes, values, direct = _arena_values(graph)
-        if graph not in full and not plan.slots:
-            continue
-        assert plan.grain >= engine.FOLD_GRAIN and len(values) > 10
-        assert plan.extent == max(o + n for _, _, o, n in values.values())
-        assert plan.extent < sum(n for _, _, _, n in values.values())  # elements are reused
+        assert plan.extent == max((o + n for _, _, o, n in values.values()), default=0)
         spans = sorted(values.values())
         handed = 0
         for k, (first, last, o, n) in enumerate(spans):
@@ -90,7 +107,14 @@ def test_values_alive_at_once_never_share_arena_elements():
                     handed += 1
                     continue
                 assert o + n <= o2 or o2 + n2 <= o, (first, first2)
-        assert handed  # elementwise kernels write over inputs that die at them
+        if len(values) > 10:
+            assert plan.extent < sum(n for _, _, _, n in values.values())  # elements are reused
+            assert handed  # elementwise kernels write over inputs that die at them
+    buffers = list(f.program.point.buffers.values())
+    assert buffers and len(arenas) >= 3
+    for result in results:
+        for buffer in buffers + arenas:
+            assert not np.shares_memory(result, buffer)
 
 
 def test_a_view_keeps_its_base_alive():
@@ -165,8 +189,7 @@ def test_threads_at_different_points_keep_their_rows():
         assert [rows.tobytes() for rows in got[k]] == [want[k].tobytes()] * 4
 
 
-def test_a_root_that_views_a_value_writes_into_no_buffer(monkeypatch):
-    monkeypatch.setattr(engine, "FOLD_GRAIN", 0)  # every plan has a memory plan
+def test_a_root_that_views_a_value_writes_into_no_buffer():
     rng = np.random.default_rng(4)
     env = {"_u1": rng.normal(size=(3, 4)), "x": rng.normal(size=(3, 4))}
     for leaf in ("_u1", "x"):
@@ -180,8 +203,7 @@ def test_a_root_that_views_a_value_writes_into_no_buffer(monkeypatch):
         assert not any(np.shares_memory(got, b) for b in buffers + [arena])
 
 
-def test_an_input_with_a_live_view_is_not_written_over(monkeypatch):
-    monkeypatch.setattr(engine, "FOLD_GRAIN", 0)  # every plan has a memory plan
+def test_an_input_with_a_live_view_is_not_written_over():
     u = engine.var("_u1", (3, 4))
     x = engine.exp(u)
     y = engine.tanh(x)  # read after transpose(x), whose view lives on to the matmul
