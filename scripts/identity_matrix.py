@@ -31,6 +31,14 @@ rosenbrock-gd/run/manifest.json (an infinite ``final_grad_norm``), and of
 mlp-nonfinite-curvature, run/manifest.json, inspect-init/hbar.json,
 inspect-init/manifest.json (which holds hbar.json's hash) and
 check/report.json.
+
+Order-3 summary tensors read each entry from one of a covering set of
+rows.  Against a commit that read every entry from the row of its two
+largest indices, exactly these lines differ, in check/report.json's
+sum-collapse ``max_error`` alone (for example 1.15e-14 against 4.09e-14):
+the check/report.json of mlp-gd, mlp-cauchy, mlp-partitioned,
+mlp-regularized-exact, mlp-regularized-sampled and
+mlp-wide-regularized-exact.
 """
 
 import argparse

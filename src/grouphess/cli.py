@@ -53,7 +53,7 @@ from .problems import (
     mlp_labels,
     synth_dataset,
 )
-from .summaries import BudgetError, pseudo_hessian, summary_tensor, taylor_term
+from .summaries import BudgetError, pseudo_hessian, summary_rows, summary_tensor, taylor_term
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -456,16 +456,18 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         ref = fd_pseudo_hessian(f, theta, part, g)
         record("hessian-oracle", np.max(np.abs(system.hbar - ref) / (1.0 + np.abs(ref))))
 
-    # sum-collapse and symmetry up to the requested order (np.max keeps a NaN)
-    collapse, sym, summary_passes = [], [], 0
+    # sum-collapse and symmetry up to the requested order (np.max keeps a NaN);
+    # the pass audit's excess, over the group system and each top-order tensor
+    collapse, sym, excess = [], [], abs(system_passes - (part.size + 1))
     for d in range(1, order + 1):
         max_abs = []
         for _ in range(n_dirs):
             u = rng.normal(size=theta.size)
             before = engine.counter.own()
             st_d = summary_tensor(f, theta0, u, part, d)
-            if d == order:  # the top-order tensors are the pass audit's
-                summary_passes = max(summary_passes, (engine.counter.own() - before).passes)
+            if d == order:  # each top-order tensor at its exact cost
+                used = (engine.counter.own() - before).passes
+                excess += abs(used - len(summary_rows(part.size, d)))
             tt = taylor_term(f, theta0, u, d)
             collapse.append(abs(st_d.total() - tt) / max(abs(tt), 1e-12))
             max_abs.append(np.max(np.abs(st_d.entries)))
@@ -481,9 +483,6 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         err = np.max([spread(system.hbar, st2.entries), spread(system.gbar, st1.entries)])
         record("footnote-identity", err)
 
-    # cost audit
-    excess = abs(system_passes - (part.size + 1))
-    excess += max(0, summary_passes - (part.size ** (order - 1) + part.size + 1))
     record("pass-audit", float(excess))
 
     failures = [c["check"] for c in checks if not c["passed"]]

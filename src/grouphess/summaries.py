@@ -8,8 +8,10 @@ d-th directional derivative (the Taylor term); the entries are symmetric
 under index permutation.  Everything is computed with nested directional
 derivatives (never a full derivative tensor):
 
-* one entry column costs one gradient-equivalent pass, so the whole tensor
-  costs at most S^(d-1) passes (fewer, by exploiting symmetry);
+* one entry column costs one gradient-equivalent pass; the tensor reads every
+  entry from the columns of a covering set (``summary_rows``), which from
+  order 3 on drops the multisets of d - 1 distinct colors s % (d - 1), so it
+  costs C(S + d - 2, d - 1) passes minus their number (20, not 36, at S = 8);
 * the pseudo-Hessian costs exactly S Hessian-vector products plus one
   gradient, verified against the engine's pass counter.
 
@@ -132,15 +134,25 @@ def taylor_term(f: Expr, theta, u, d: int) -> float:
     return nested_directional(f, theta, [u] * d)
 
 
+def summary_rows(s_count: int, d: int) -> list[tuple[int, ...]]:
+    """The sorted (d - 1)-multisets of groups an order-d summary tensor runs
+    one row (one pass) for: all of them below order 3.  From order 3 on, group
+    s has color s % (d - 1) and a multiset is kept when two entries share a
+    color; any d indices hold two of one color, so dropping a third leaves a
+    kept prefix (at d = 3, Turan's cover of every index triple by pairs)."""
+    prefixes = combinations_with_replacement(range(s_count), d - 1)
+    return [p for p in prefixes if d < 3 or len({s % (d - 1) for s in p}) < d - 1]
+
+
 def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
                    budget: int = DEFAULT_ENTRY_BUDGET) -> SummaryTensor:
     """Order-d summary tensor of f at theta for direction u.
 
-    Only index multisets are computed (one gradient-equivalent pass gives a
-    full first-index column); permuted entries are filled by copy, so the
-    result is exactly permutation-symmetric.  The C multisets of d - 1
-    indices go to the engine as d - 1 stacks of masked directions, so the
-    call holds (d - 1) * C + C vectors of length P at once.
+    Only the C covering multisets of d - 1 indices (``summary_rows``) are
+    computed, one pass each for a full column over the free index; other
+    entries are filled by copy, so the result is exactly permutation-
+    symmetric.  The multisets go to the engine as d - 1 stacks of masked
+    directions, so the call holds (d - 1) * C + C vectors of length P at once.
     """
     if d < 1:
         raise ValueError("summary tensor needs order d >= 1")
@@ -154,19 +166,23 @@ def summary_tensor(f: Expr, theta, u, part: Partition, d: int,
         raise ValueError(f"direction has shape {u.shape}, partition covers {part.total}")
 
     masks = np.array([mask(u, part, s) for s in range(s_count)])
-    # columns[(prefix multiset)] = vector of entries over the free first index;
-    # all prefixes go to the engine as d - 1 stacks of masked directions
-    prefixes = list(combinations_with_replacement(range(s_count), d - 1))
+    # columns[i] = the entries over the free index of prefix i
+    prefixes = summary_rows(s_count, d)
     stacks = [masks[[prefix[k] for prefix in prefixes]] for k in range(d - 1)]
     w = np.reshape(gradient_of_nested(f, theta, stacks), (len(prefixes), -1))
     columns = np.array([group_sum(row * u, part) for row in w])
 
-    # entry idx copies entry `first` of the column of `prefix`, where (first,
-    # *prefix) is idx sorted; prefixes and so their base-S codes are in order
+    # entry idx, sorted, copies entry idx[p] of the column of idx without p
+    # for the first p that leaves a kept prefix; column_of[base-S code] = i
     weights = s_count ** np.arange(d - 2, -1, -1)
-    codes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1) @ weights
+    column_of = np.full(s_count ** (d - 1), -1)
+    column_of[np.array(prefixes, dtype=np.int64) @ weights] = range(len(prefixes))
     idx = np.sort(np.indices((s_count,) * d).reshape(d, -1), axis=0)
-    return SummaryTensor(d, s_count, columns[np.searchsorted(codes, weights @ idx[1:]), idx[0]])
+    entries = np.empty(idx.shape[1])
+    for p in reversed(range(d)):  # so the first p that hits is written last
+        at = column_of[weights @ np.delete(idx, p, axis=0)]
+        entries[at >= 0] = columns[at[at >= 0], idx[p, at >= 0]]
+    return SummaryTensor(d, s_count, entries)
 
 
 def pseudo_gradient(f: Expr, theta, part: Partition) -> np.ndarray:

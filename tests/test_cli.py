@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from grouphess import engine
+from grouphess import cli, engine
 from grouphess.cli import DEFAULT_CONFIG, build_problem, load_config, main
 
 
@@ -282,6 +282,26 @@ def test_check_corrupted_tolerance_fails_and_names_check(tmp_path, capsys):
     assert "FAIL gradient-fd" in capsys.readouterr().out
 
 
+def test_check_extra_summary_pass_fails_the_pass_audit(tmp_path, capsys, monkeypatch):
+    # every summary tensor one pass above its covering rows: each top-order one is off by one
+    tensor = cli.summary_tensor
+
+    def costly(f, theta, u, part, d):
+        engine.gradient(f, theta)
+        return tensor(f, theta, u, part, d)
+
+    monkeypatch.setattr(cli, "summary_tensor", costly)
+    path = write_config(tmp_path, problem={"kind": "quadratic", "size": 4},
+                        partition="discrete", out=str(tmp_path / "out"))
+    assert main(["check", "--config", str(path), "--order", "3"]) == 4
+    report = _strict_json(tmp_path / "out" / "report.json")
+    assert report["first_failure"] == "pass-audit"
+    results = {c["check"]: c for c in report["checks"]}
+    assert [name for name, c in results.items() if not c["passed"]] == ["pass-audit"]
+    assert results["pass-audit"]["max_error"] == DEFAULT_CONFIG["check"]["directions"]
+    assert "FAIL pass-audit" in capsys.readouterr().out
+
+
 # softmax logits of order 1e4 overflow, so every derivative is non-finite
 NONFINITE_CURVATURE = {"kind": "mlp", "widths": [2, 3, 2], "loss": "softmax-cross-entropy",
                        "init_scale": 10000.0, "dataset": {"n": 20}}
@@ -327,14 +347,20 @@ def test_inspect_nonfinite_hbar_takes_the_failed_inversion_path(tmp_path, capsys
 ])
 def test_check_battery_pass_count(tmp_path, problem, partition, s, order, directions):
     """The battery costs: the gradient; the S + 1 pass group system; per
-    order d and direction, one order-d summary tensor (C(S + d - 2, d - 1)
-    passes) and one Taylor term; from order 2 on, the order-2 and order-1
-    summaries at the gradient (S + 1 passes; the order-1 one is checked
-    against the group system's own pseudo-gradient)."""
+    order d and direction, one order-d summary tensor and one Taylor term;
+    from order 2 on, the order-2 and order-1 summaries at the gradient (S + 1
+    passes; the order-1 one is checked against the group system's own
+    pseudo-gradient).  An order-d tensor costs C(S + d - 2, d - 1) passes,
+    less from order 3 on the multisets of d - 1 groups of distinct colors
+    s % (d - 1), of which there are as many as the colors' sizes multiply to."""
     path = write_config(tmp_path, problem=problem, partition=partition,
                         check={"directions": directions}, out=str(tmp_path / "out"))
-    expected = 1 + (s + 1) + sum(directions * (math.comb(s + d - 2, d - 1) + 1)
-                                 for d in range(1, order + 1))
+
+    def tensor(d):
+        sizes = [len(range(c, s, d - 1)) for c in range(d - 1)] if d >= 3 else [0]
+        return math.comb(s + d - 2, d - 1) - math.prod(sizes)
+
+    expected = 1 + (s + 1) + sum(directions * (tensor(d) + 1) for d in range(1, order + 1))
     if order >= 2:
         expected += s + 1
     before = engine.counter.own()

@@ -272,10 +272,12 @@ def test_stacked_calls_keep_logical_pass_counts():
     before = engine.counter.snapshot()
     summary_tensor(f, theta, u, part, 3)
     used = engine.counter.snapshot() - before
-    multisets = math.comb(s + 1, 2)
-    assert used.passes == multisets <= s ** 2
-    assert used.backward == 3 * multisets
-    assert used.sweeps == math.ceil(multisets / _width(f, p, 2))
+    # the pairs of groups of one color s % 2: C(5, 2) among the 4 even groups, as many among the odd
+    assert s == 8
+    rows = 2 * math.comb(5, 2)
+    assert used.passes == rows == 20
+    assert used.backward == 3 * rows
+    assert used.sweeps == math.ceil(rows / _width(f, p, 2))
 
 
 def test_partitioned_step_reports_passes_and_sweeps():

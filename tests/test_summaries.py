@@ -7,12 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouphess import engine, summaries
-from grouphess.engine import const, dot, matmul, reduce_sum, var
+from grouphess.engine import (
+    const,
+    dot,
+    gradient_of_nested,
+    matmul,
+    nested_directional,
+    reduce_sum,
+    var,
+)
 from grouphess.fd import fd_pseudo_hessian
 from grouphess.partition import (
     custom_partition,
     discrete_partition,
     group_sum,
+    mask,
     trivial_partition,
 )
 from grouphess.problems import MlpSpec, make_mlp, synth_dataset
@@ -23,6 +32,7 @@ from grouphess.summaries import (
     pseudo_gradient,
     pseudo_hessian,
     regularization_vector,
+    summary_rows,
     summary_tensor,
     taylor_term,
 )
@@ -173,10 +183,18 @@ def test_sum_collapse_and_symmetry_property(seed, d):
             assert rel_err(np.transpose(st_d.entries, perm), st_d.entries) <= 1e-10
 
 
+def _kept(s_count, d):
+    """The multisets of d - 1 groups with two of one color s % (d - 1)
+    (every multiset below order 3), in sorted order."""
+    return [m for m in itertools.combinations_with_replacement(range(s_count), d - 1)
+            if d < 3 or len({s % (d - 1) for s in m}) < d - 1]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_summary_entries_are_the_sorted_index_copies_of_their_columns(monkeypatch, d):
     # the gather equals the loop over every index tuple, and each entry is
-    # exactly the one computed for its index multiset
+    # exactly the one computed for its index multiset, read from the column of
+    # the multiset without its first index that leaves a kept prefix
     rng = np.random.default_rng(d)
     t = var("theta", (6,))
     f = reduce_sum(engine.tanh(t) * engine.exp(0.2 * t)) + 0.5 * dot(t, t)
@@ -187,16 +205,83 @@ def test_summary_entries_are_the_sorted_index_copies_of_their_columns(monkeypatc
     monkeypatch.setattr(summaries, "gradient_of_nested",
                         lambda *args: calls.append(nested(*args)) or calls[-1])
     entries = summary_tensor(f, theta, u, part, d).entries
-    prefixes = list(itertools.combinations_with_replacement(range(part.size), d - 1))
+    prefixes = _kept(part.size, d)
     w = np.reshape(calls[0], (len(prefixes), -1))
     columns = {prefix: group_sum(row * u, part) for prefix, row in zip(prefixes, w)}
     want = np.empty((part.size,) * d)
     for idx in itertools.product(range(part.size), repeat=d):
-        srt = tuple(sorted(idx))
-        want[idx] = columns[srt[1:]][srt[0]]
+        srt = sorted(idx)
+        p = next(p for p in range(d) if tuple(srt[:p] + srt[p + 1:]) in columns)
+        want[idx] = columns[tuple(srt[:p] + srt[p + 1:])][srt[p]]
     assert entries.tobytes() == want.tobytes()
     for perm in itertools.permutations(range(d)):
         assert np.transpose(entries, perm).tobytes() == entries.tobytes()
+
+
+def test_summary_rows_cover_every_index_multiset():
+    for s_count in range(1, 11):
+        for d in range(1, 6):
+            rows = summary_rows(s_count, d)
+            assert rows == _kept(s_count, d)
+            colors = [len(range(c, s_count, d - 1)) for c in range(d - 1)]
+            dropped = math.prod(colors) if d >= 3 else 0
+            assert len(rows) == math.comb(s_count + d - 2, d - 1) - dropped
+            kept = set(rows)
+            for m in itertools.combinations_with_replacement(range(s_count), d):
+                assert any(m[:p] + m[p + 1:] in kept for p in range(d)), (s_count, d, m)
+    assert len(summary_rows(8, 3)) == 20
+
+
+@pytest.mark.parametrize("s_count, d", [(1, 3), (2, 3), (5, 3), (8, 3), (3, 4), (6, 4), (4, 5)])
+def test_summary_tensor_runs_one_pass_per_covering_row(s_count, d):
+    t = var("theta", (s_count,))
+    f = reduce_sum(engine.tanh(t)) + dot(t, t)
+    theta = np.random.default_rng(s_count).normal(size=s_count)
+    before = engine.counter.snapshot()
+    summary_tensor(f, theta, np.ones(s_count), discrete_partition(s_count), d)
+    colors = [len(range(c, s_count, d - 1)) for c in range(d - 1)]
+    assert (engine.counter.snapshot() - before).passes == (
+        math.comb(s_count + d - 2, d - 1) - math.prod(colors))
+
+
+def _mlp_six_groups():
+    f, theta0 = make_mlp(MlpSpec((2, 3, 2), seed=2), synth_dataset("moons", 12, seed=4))
+    order = np.random.default_rng(6).permutation(theta0.size)
+    return f, theta0.values, custom_partition(np.array_split(order, 6))
+
+
+def test_order3_entries_equal_direct_nested_directionals():
+    f, theta, part = _mlp_six_groups()
+    u = np.random.default_rng(7).normal(size=theta.size)
+    entries = summary_tensor(f, theta, u, part, 3).entries
+    masks = [mask(u, part, s) for s in range(part.size)]
+    want = np.empty_like(entries)
+    for i, j, k in itertools.product(range(part.size), repeat=3):
+        want[i, j, k] = nested_directional(f, theta, [masks[i], masks[j], masks[k]])
+    assert np.all(np.abs(entries - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_entries_with_a_kept_top_prefix_are_bitwise_the_top_prefix_rule(d):
+    # the rule that read every entry from the column of its d - 1 largest
+    # indices, from all C(S + d - 2, d - 1) rows stacked
+    f, theta, part = _mlp_six_groups()
+    u = np.random.default_rng(d).normal(size=theta.size)
+    entries = summary_tensor(f, theta, u, part, d).entries
+    masks = np.array([mask(u, part, s) for s in range(part.size)])
+    prefixes = list(itertools.combinations_with_replacement(range(part.size), d - 1))
+    stacks = [masks[[prefix[k] for prefix in prefixes]] for k in range(d - 1)]
+    w = np.reshape(gradient_of_nested(f, theta, stacks), (len(prefixes), -1))
+    columns = {prefix: group_sum(row * u, part) for prefix, row in zip(prefixes, w)}
+    kept, compared = set(summary_rows(part.size, d)), 0
+    for idx in itertools.product(range(part.size), repeat=d):
+        srt = sorted(idx)
+        old = columns[tuple(srt[1:])][srt[0]]
+        if tuple(srt[1:]) in kept:
+            assert entries[idx].tobytes() == old.tobytes(), idx
+            compared += 1
+        assert abs(entries[idx] - old) <= 1e-14 * np.max(np.abs(entries))
+    assert 0 < compared < part.size ** d
 
 
 # pseudo-gradient / pseudo-Hessian -------------------------------------------
