@@ -47,10 +47,10 @@ points, so each switch computes the point-only values again.  A bound root
 cannot be part of a larger graph.
 
 A plan runs as straight-line Python generated from it, plain or stacked,
-at its first evaluation of each kind, each kernel called by name: a
-point-only node reads its stored value or computes and stores it, and
-every other value is a local deleted after its last consumer, as the plan
-lists.  The code depends on the graph's structure alone, so graphs of one
+at its first evaluation of each kind, each kernel called by name: a point
+phase, once per graph and call, reads each point-only value from the store
+or computes and stores it, and hands them to a row phase, in which every
+other value is a local deleted after its last consumer.  Graphs of one
 structure share their compiled code (:func:`_generated`).
 
 One loop, :func:`_rows`, runs the derivative rows of calls that take
@@ -98,10 +98,8 @@ arena holds ``BUDGET`` bytes or more (shorter sweeps lose more to threads
 than they overlap; by the width rule, only single rows can hold more)
 runs them from the largest arena down in the caller and from the smallest
 up, while they fit the median's arena, in one worker thread (``_LANE``).
-A zero-row pass over each graph first stores every point-only value, so
-the worker reads the caller's point store and writes nothing to it.  A
-sweep runs the same code on either lane, so no row depends on them;
-counting, planning and code generation stay in the caller, a worker's
+A sweep runs the same code on either lane, so no row depends on them.  Only
+the caller counts, plans, generates code and runs point phases; a worker's
 failure reaches it, and it never waits for a worker that has not begun.
 """
 
@@ -596,7 +594,7 @@ class _Plan(NamedTuple):
     ``slots``, id -> offset in elements per row into the arena for a value
     that is not point-only, None for a point-only one, of every value a
     kernel writes into a buffer; ``extent``, the arena's elements per row;
-    and ``code``, the functions generated for plain and stacked calls."""
+    and ``code``, the point and row chunks generated for plain and stacked calls."""
 
     order: list
     fixed: tuple
@@ -827,23 +825,23 @@ def _compile(source: str) -> CodeType:
                 if isinstance(c, CodeType))
 
 
-def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
-    """The functions that run ``plan``, the plan of ``root``, one after the
-    other, for plain directions or, when ``stacked``, for direction stacks,
-    kept in the plan: straight-line code in the plan's order, cut every
-    ``_CHUNK`` nodes, each function handing the values that later ones read
-    (``last``: local -> the last chunk that reads it) to the next.  A
-    point-only node reads its value from the point store K or computes and
-    stores it; any other node computes into a local, with a stack axis when
-    ``stacked``, deleted after its last consumer.  A slotted value is
-    computed into its point buffer from P or its offset of the arena A, B
-    rows deep.  Locals are named by position, and the stored values' node
-    ids and the constants are arguments, so the source depends on the
-    graph's structure alone, and graphs of one structure share their
-    compiled code, kept by digest."""
+def _generated(root: Expr, plan: _Plan, stacked: bool) -> tuple:
+    """The point chunks and the row chunks, at least one, that run ``plan``, the
+    plan of ``root``, for plain directions or, when ``stacked``, for direction
+    stacks, kept in the plan: straight-line code, point-only nodes first, each
+    phase in plan order and cut every ``_CHUNK`` nodes, each function handing
+    the values that later ones read (``last``: local -> the last chunk that
+    reads it) to the next.  A point-only node reads its value from the point
+    store K or computes and stores it, into its buffer from P if slotted; any
+    other node computes into a local, into its offset of the arena A, B rows
+    deep if slotted, with a stack axis when ``stacked``, deleted after its last
+    consumer.  Locals are named by position and node ids and constants are
+    arguments, so graphs of one structure share their code, kept by digest."""
     names, axis, ids, consts, chunks, last = {}, {}, [], [], [], {}
-    for k, (node, fixed) in enumerate(zip(itertools.chain(plan.order, (root,)), plan.fixed)):
-        if k % _CHUNK == 0:
+    points = sum(plan.fixed)
+    nodes = sorted(zip(itertools.chain(plan.order, (root,)), plan.fixed), key=lambda n: not n[1])
+    for k, (node, fixed) in enumerate(nodes):
+        if (k if fixed else k - points) % _CHUNK == 0:
             chunks.append([])
         axis[node.nid] = stacked and not fixed
         if node.op == "const":
@@ -867,6 +865,10 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
             chunks[-1].append(f"{w}={value}")
             if node.nid in plan.frees:
                 chunks[-1].append("del " + ",".join(names[n] for n in plan.frees[node.nid]))
+    split = -(-points // _CHUNK)  # the point chunks
+    if len(chunks) == split:  # no row node: one row chunk takes the root from the point chunks
+        chunks.append([])
+    last[names[root.nid]] = len(chunks) - 1
     run, live, args = [], [], (tuple(ids), tuple(consts))
     for c, lines in enumerate(chunks):
         head = ["def run(E,K,L,A,B,P,I,C):"] + (
@@ -882,8 +884,8 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> list:
                 _codes.pop(next(iter(_codes)), None)
             code = _codes[key] = _compile(source)
         run.append(FunctionType(code, _KERNELS, "run", args))
-    plan.code[stacked] = run
-    return run
+    plan.code[stacked] = run[:split], run[split:]
+    return plan.code[stacked]
 
 
 def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray] | None,
@@ -896,7 +898,7 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
     identity, which the entry keeps valid by holding them; env's leaves by
     bytes, so -0.0 and 0.0 differ.  A new point drops the old values before
     computing any.  Its value map starts empty, so no value is read stale
-    from the point buffers that :func:`_run` keeps beside the entry and
+    from the point buffers that :func:`_point` keeps beside the entry and
     overwrites at each new point."""
     key = []
     for name, value in env.items():
@@ -919,34 +921,33 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
     return arrays, values
 
 
-def _store(root: Expr, env: Mapping, bound: Mapping | None) -> tuple:
-    """The calling thread's point store of root's program: (point, values, buffers)."""
-    point = _program(root).point
-    return (*_point_values(env, bound, point), point.__dict__.setdefault("buffers", {}))
+def _point(root: Expr, env: Mapping, bound: Mapping | None, stacked: bool) -> list:
+    """Root's point chunks, run under the caller's errstate on the calling thread's store of
+    root's program (:func:`_point_values`) and point buffers: the values its row chunks take."""
+    plan, store, live = _planned(root), _program(root).point, []
+    arrays, kept = _point_values(env, bound, store)
+    for run in (plan.code[stacked] or _generated(root, plan, stacked))[0]:
+        live = run(arrays, kept, live, None, 0, vars(store).setdefault("buffers", {}))
+    return live
 
 
 def _run(root: Expr, env: Mapping[str, np.ndarray],
          bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False,
-         arena: np.ndarray | None = None, store: tuple | None = None) -> np.ndarray:
-    """Evaluate the graph ``root`` with ``bound`` its bound arrays by its
-    plan's generated code, reusing and storing point-only values in
-    ``store``, by default the calling thread's :func:`_store`.  Env's
-    direction leaves are plain values or, when ``stacked``, stacks of rows,
-    which only :func:`_rows` passes.  The plan's slotted values that are
-    not point-only go into ``arena``, of at least its extent times the rows,
-    or into one of its own, and its point-only ones into the store's point
-    buffers, {node id -> buffer}, which live as long as the program.  The
-    result is no buffer, but it may be a stored array, so public callers
-    hand out copies."""
+         arena: np.ndarray | None = None, points: list | None = None) -> np.ndarray:
+    """Evaluate the graph ``root`` by its plan's row chunks from ``points``,
+    root's :func:`_point` values, which they take, by default made here at
+    env's point and root's ``bound`` arrays.  Env's direction leaves are
+    plain or, when ``stacked``, stacks of rows, which only :func:`_rows`
+    passes.  Slotted values go into ``arena``, of the plan's extent times
+    the rows or more, or one of its own.  The result is no buffer, but it
+    may be stored, so public callers hand out copies."""
     plan = _planned(root)
-    arrays, kept, buffers = store or _store(root, env, bound)
     rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
     arena = np.empty(rows * plan.extent) if arena is None else arena
-    env = {**env, **arrays}
-    live = []
     with np.errstate(all="ignore"):
-        for run in plan.code[stacked] or _generated(root, plan, stacked):
-            live = run(env, kept, live, arena, rows, buffers)
+        live = _point(root, env, bound, stacked) if points is None else points
+        for run in plan.code[stacked][1]:  # generated by _point at the latest
+            live = run(env, None, live, arena, rows, None)
     return live
 
 
@@ -1213,9 +1214,9 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     the stacks'.  The rows form one group on ``expr`` or, at a grain of
     ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
     sweeps of at most its plan's width rows, each in an arena of the plan's
-    extent per row, scattered into the result, on one or two lanes (see the
-    module docstring).  A row counts as a logical pass of depth
-    ``backward``, or as one forward evaluation when it is None."""
+    extent per row, from a copy of its graph's :func:`_point` values, into
+    the result, on one or two lanes (see the module docstring).  A row
+    counts as one pass of depth ``backward``, or one forward when None."""
     pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:] if dirs else ()
     stacks = [np.ascontiguousarray(u, dtype=np.float64) for u in dirs]
     single = all(u.ndim == len(pshape) for u in stacks)
@@ -1226,7 +1227,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     if single:
         stacks = [u[None] for u in stacks]
     rows = len(stacks[0]) if stacks else 1
-    store, out, sweeps = _store(expr, env, bound), np.empty((rows,) + expr.shape), []
+    out, sweeps = np.empty((rows,) + expr.shape), []
     groups = stacks and _planned(expr).grain >= FOLD_GRAIN and _folds(expr, stacks)
     for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]:
         plan = _planned(graph)
@@ -1240,6 +1241,8 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
             sweeps.append((plan.extent * n, graph, index[lo:lo + n], {
                 **env, **{_dir_name(k): u[lo] if single else u[lo:lo + n]
                           for k, u in enumerate(parts, start=1)}}))
+    with np.errstate(all="ignore"):
+        points = {g: _point(g, env, bound, not single) for g in dict.fromkeys(s[1] for s in sweeps)}
     jobs, lock = collections.deque(sorted(sweeps, key=lambda sweep: sweep[0])), threading.Lock()
 
     def drain(arena: np.ndarray, left: bool = False) -> None:
@@ -1251,7 +1254,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
                     if not jobs or left and jobs[0][0] > arena.size:
                         return
                     _, graph, index, leaves = jobs.popleft() if left else jobs.pop()
-                out[index] = _run(graph, leaves, None, not single, arena, store)
+                out[index] = _run(graph, leaves, None, not single, arena, list(points[graph]))
         except BaseException:
             with lock:
                 jobs.clear()
@@ -1260,9 +1263,6 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     arena, lane = np.empty(jobs[-1][0] if jobs else 0), None
     region = jobs[(len(jobs) - 1) // 2][0] if len(jobs) > 1 else 0  # the worker's arena
     if 8 * region >= BUDGET and CPUS > 1:
-        for _, graph, _, leaves in {id(job[1]): job for job in jobs}.values():
-            _run(graph, {k: v[:0] if _is_direction(k) else v for k, v in leaves.items()},
-                 None, True, arena, store)  # zero rows: each point-only value, stored
         with contextlib.suppress(RuntimeError):  # at interpreter exit, one lane
             lane = _LANE.submit(drain, np.empty(region), True)
     try:

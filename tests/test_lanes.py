@@ -5,8 +5,10 @@ A call of ``engine._rows`` with two or more sweeps whose median arena holds
 its sweeps from the largest arena down in the calling thread and from the
 smallest up in one worker thread.  Every row must be bitwise the row of the
 same call on one lane (``engine.CPUS`` set to 1); the counts stay the
-caller's; the worker writes nothing to the caller's point store; and a
-failure in the worker reaches the caller.
+caller's; the caller runs each graph's point phase first, so no pass runs
+on an empty stack, and the worker writes nothing to the caller's point
+store and begins none of its own; and a failure in the worker reaches the
+caller.
 """
 
 import gc
@@ -53,28 +55,28 @@ def _masks(theta, part, seed=0):
     return np.stack([mask(rng.normal(size=theta.size), part, s) for s in range(part.size)])
 
 
-def _lanes(monkeypatch, call, cpus=2):
-    """``call()`` with ``engine.CPUS`` set to ``cpus``, and for each sweep
-    it ran with rows, whether the worker ran it.  On two lanes the caller's
-    sweeps wait until the worker has run one, so that both lanes run, and a
-    worker's sweep that stores a value in the point store fails."""
+def _lanes(monkeypatch, f, call, cpus=2):
+    """``call()`` on the loss ``f`` with ``engine.CPUS`` set to ``cpus``,
+    and for each sweep it ran, whether the worker ran it.  On two lanes the
+    caller's sweeps wait until the worker has run one, so that both lanes
+    run, and a worker's sweep fails that stores a value in the caller's
+    point store of f's program or begins a store of its own."""
     workers, ran, worker = [], threading.Event(), engine._LANE.submit(threading.get_ident).result()
-    run = engine._run
+    run, store = engine._run, vars(engine._program(f).point)  # the caller's store
 
-    def spy(root, env, bound=None, stacked=False, arena=None, store=None):
-        if stacked and not any(len(v) for k, v in env.items() if engine._is_direction(k)):
-            return run(root, env, bound, stacked, arena, store)  # the point-only values
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
         workers.append(threading.get_ident() == worker)
         if not workers[-1]:
             if cpus > 1 and not ran.wait(10):
                 ran.set()  # the worker took no sweep: wait no more
-            return run(root, env, bound, stacked, arena, store)
-        stored = len(store[1]), len(store[2])  # the point's values and buffers
+            return run(root, env, bound, stacked, arena, points)
+        stored = len(store["entry"][3]), len(store["buffers"])  # the point's values and buffers
         try:
-            return run(root, env, bound, stacked, arena, store)
+            return run(root, env, bound, stacked, arena, points)
         finally:
             ran.set()
-            assert (len(store[1]), len(store[2])) == stored  # the worker stored nothing
+            assert (len(store["entry"][3]), len(store["buffers"])) == stored  # stored nothing
+            assert vars(engine._program(root).point) == {}  # and began no store of its own
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "CPUS", cpus)
@@ -93,9 +95,9 @@ def _one_and_two_lanes(monkeypatch, f, theta, call):
     """``call()`` on one lane and on two, each at a point new to its store,
     with its counts, and which lanes ran the two-lane call's sweeps."""
     gradient(f, theta + 1.0)
-    one, _ = _lanes(monkeypatch, lambda: _counted(call), cpus=1)
+    one, _ = _lanes(monkeypatch, f, lambda: _counted(call), cpus=1)
     gradient(f, theta + 1.0)
-    two, workers = _lanes(monkeypatch, lambda: _counted(call))
+    two, workers = _lanes(monkeypatch, f, lambda: _counted(call))
     assert True in workers and False in workers  # both lanes ran sweeps
     return one, two
 
@@ -129,6 +131,22 @@ def test_stencil_points_above_the_grain_are_bitwise_one_lane(monkeypatch, wide):
     assert used2 == used1 == PassCounts(forward=3 + 2 * 3)
 
 
+def test_no_pass_runs_on_an_empty_stack(monkeypatch, wide):
+    f, theta, part = wide
+    rows, run = [], engine._run
+
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
+        if stacked:
+            rows.append(len(env[engine._dir_name(1)]))
+        return run(root, env, bound, stacked, arena, points)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    g = gradient(f, theta * 0.7)  # a point new to the store
+    _, workers = _lanes(monkeypatch, f, lambda: pseudo_hessian(f, theta * 0.7, part, g))
+    assert True in workers and False in workers
+    assert rows == [1] * part.size  # one folded row per sweep, and no sweep of none
+
+
 @pytest.mark.parametrize("widths, n, call", [
     (MID, 300, lambda f, theta, part: gradient_of_nested(f, theta, [_masks(theta, part)])),
     (SMALL, 100, lambda f, theta, part: pseudo_hessian(f, theta, part)),
@@ -142,10 +160,10 @@ def test_short_sweeps_run_on_one_lane(monkeypatch, widths, n, call):
     assert (grain >= engine.FOLD_GRAIN) == (widths == MID)
     threads, arenas, run = set(), [], engine._run
 
-    def spy(root, env, bound=None, stacked=False, arena=None, store=None):
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
         threads.add(threading.get_ident())
         arenas.append(0 if arena is None else arena.size)
-        return run(root, env, bound, stacked, arena, store)
+        return run(root, env, bound, stacked, arena, points)
 
     monkeypatch.setattr(engine, "CPUS", 2)
     monkeypatch.setattr(engine, "_run", spy)
@@ -190,15 +208,13 @@ def test_a_worker_failure_reaches_the_caller_and_starts_no_job(monkeypatch, mid)
     error, started, failed = EvaluationError("failed in the worker"), [], threading.Event()
     run, worker = engine._run, engine._LANE.submit(threading.get_ident).result()
 
-    def spy(root, env, bound=None, stacked=False, arena=None, store=None):
-        if stacked and not any(len(v) for k, v in env.items() if engine._is_direction(k)):
-            return run(root, env, bound, stacked, arena, store)
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
         started.append(threading.get_ident() == worker)
         if started[-1]:
             failed.set()
             raise error
         failed.wait(10)
-        return run(root, env, bound, stacked, arena, store)
+        return run(root, env, bound, stacked, arena, points)
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "CPUS", 2)
@@ -220,7 +236,7 @@ def test_a_dropped_loss_is_freed_at_del_after_two_lanes(monkeypatch):
     try:
         f, theta, part = _loss(MID, 2996)  # a row count no other test uses
         stack = _masks(theta, part)
-        _, workers = _lanes(monkeypatch, lambda: gradient_of_nested(f, theta, [stack]))
+        _, workers = _lanes(monkeypatch, f, lambda: gradient_of_nested(f, theta, [stack]))
         assert True in workers
         refs = [weakref.ref(obj) for obj in (f, engine._unbind(f)[0], f.program)]
         del f
@@ -237,7 +253,7 @@ def test_point_buffers_keep_their_identity_and_bytes_across_two_lanes(monkeypatc
     gradient_of_nested(f, point, [stack])
     buffers = f.program.point.buffers
     kept = {nid: (buffer, buffer.tobytes()) for nid, buffer in buffers.items()}
-    _, workers = _lanes(monkeypatch, lambda: gradient_of_nested(f, point, [stack]))
+    _, workers = _lanes(monkeypatch, f, lambda: gradient_of_nested(f, point, [stack]))
     assert True in workers
     assert f.program.point.buffers is buffers and buffers.keys() == kept.keys()
     for nid, (buffer, data) in kept.items():

@@ -79,10 +79,10 @@ def test_values_alive_at_once_never_share_arena_elements(monkeypatch, widths, n)
     f, theta, part = _loss(widths, n)
     arenas, run_pass = [], engine._run
 
-    def spy(root, env, arrays, stacked=False, arena=None, store=None):
+    def spy(root, env, arrays, stacked=False, arena=None, points=None):
         if arena is not None:
             arenas.append(arena)
-        return run_pass(root, env, arrays, stacked, arena, store)
+        return run_pass(root, env, arrays, stacked, arena, points)
 
     monkeypatch.setattr(engine, "_run", spy)
     stack = _stack(theta, part)
@@ -135,10 +135,10 @@ def test_no_result_aliases_a_buffer(monkeypatch):
     arenas = []
     run_pass = engine._run
 
-    def spy(root, env, arrays, stacked=False, arena=None, store=None):
+    def spy(root, env, arrays, stacked=False, arena=None, points=None):
         if arena is not None:
             arenas.append(arena)
-        return run_pass(root, env, arrays, stacked, arena, store)
+        return run_pass(root, env, arrays, stacked, arena, points)
 
     monkeypatch.setattr(engine, "_run", spy)
     stack = _stack(theta, part)

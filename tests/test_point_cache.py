@@ -4,6 +4,7 @@ Reusing those values must not change a single bit of any result, and no
 stored array may be changed through an array handed to or from a caller.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -25,6 +26,18 @@ def _never_reuse(env, bound, point):
     point.entry = None
     arrays, _ = _stored_point_values(env, bound, point)
     return arrays, {}
+
+
+class _CountedValues(dict):
+    """A value map that counts its lookups by node id."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = collections.Counter()
+
+    def get(self, key, default=None):
+        self.gets[key] += 1
+        return super().get(key, default)
 
 
 def _moons():
@@ -51,6 +64,31 @@ def test_reuse_is_bit_identical(monkeypatch):
     assert traces == fresh_traces  # floats compare exactly; passes are logical
     assert theta.tobytes() == fresh_theta.tobytes()
     assert entries.tobytes() == fresh_entries.tobytes()
+
+
+def test_each_point_only_value_is_looked_up_once_per_call(monkeypatch):
+    f, theta0, _ = _moons()
+    theta = theta0.values
+    graph = engine._derivative(f, theta, 1, True)[0]
+    plan = engine._planned(graph)
+    stack = np.random.default_rng(5).normal(size=(3 * plan.width, theta.size))
+    maps = []
+
+    def counted(env, bound, point):
+        point.entry = None
+        arrays, _ = _stored_point_values(env, bound, point)
+        maps.append(_CountedValues())
+        return arrays, maps[-1]
+
+    monkeypatch.setattr(engine, "_point_values", counted)
+    before = engine.counter.own()
+    rows = gradient_of_nested(f, theta, [stack])
+    assert (engine.counter.own() - before).sweeps == 3
+    fixed = [node.nid for node, is_fixed in zip([*plan.order, graph], plan.fixed)
+             if is_fixed and node.op != "const"]
+    assert len(maps) == 1 and dict(maps[0].gets) == dict.fromkeys(fixed, 1)
+    monkeypatch.setattr(engine, "_point_values", _stored_point_values)
+    assert rows.tobytes() == gradient_of_nested(f, theta, [stack]).tobytes()
 
 
 def test_returned_arrays_do_not_alias_stored_values():

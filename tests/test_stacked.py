@@ -181,9 +181,9 @@ def test_single_directions_run_as_one_plain_pass(monkeypatch):
     bound = []
     run_pass = engine._run
 
-    def spy(root, env, arrays, stacked=False, arena=None, store=None):
+    def spy(root, env, arrays, stacked=False, arena=None, points=None):
         bound.append(env[engine._dir_name(1)].shape)
-        return run_pass(root, env, arrays, stacked, arena, store)
+        return run_pass(root, env, arrays, stacked, arena, points)
 
     monkeypatch.setattr(engine, "_run", spy)
     before = engine.counter.own()
