@@ -50,8 +50,8 @@ A plan runs as straight-line Python generated from it, plain or stacked,
 at its first evaluation of each kind, each kernel called by name: a point
 phase, once per graph and call, reads each point-only value from the store
 or computes and stores it, and hands them to a row phase, in which every
-other value is a local deleted after its last consumer.  Graphs of one
-structure share their compiled code (:func:`_generated`).
+other value is a local that no code frees: the memory plan alone places it.
+Graphs of one structure share their compiled code (:func:`_generated`).
 
 One loop, :func:`_rows`, runs the derivative rows of calls that take
 directions: a single vector is one row run plain, and (B, P) stacks
@@ -831,12 +831,12 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> tuple:
     stacks, kept in the plan: straight-line code, point-only nodes first, each
     phase in plan order and cut every ``_CHUNK`` nodes, each function handing
     the values that later ones read (``last``: local -> the last chunk that
-    reads it) to the next.  A point-only node reads its value from the point
-    store K or computes and stores it, into its buffer from P if slotted; any
-    other node computes into a local, into its offset of the arena A, B rows
-    deep if slotted, with a stack axis when ``stacked``, deleted after its last
-    consumer.  Locals are named by position and node ids and constants are
-    arguments, so graphs of one structure share their code, kept by digest."""
+    reads it) to the next in a new list.  A point-only node reads its value
+    from the point store K or computes and stores it, into its buffer from P
+    if slotted; any other node computes into a local that no code frees, into
+    its offset of the arena A, B rows deep if slotted, stacked if ``stacked``.
+    Locals are named by position and node ids and constants are arguments, so
+    graphs of one structure share their code, kept and named by its digest."""
     names, axis, ids, consts, chunks, last = {}, {}, [], [], [], {}
     points = sum(plan.fixed)
     nodes = sorted(zip(itertools.chain(plan.order, (root,)), plan.fixed), key=lambda n: not n[1])
@@ -863,8 +863,6 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> tuple:
             ids.append(node.nid)
         else:
             chunks[-1].append(f"{w}={value}")
-            if node.nid in plan.frees:
-                chunks[-1].append("del " + ",".join(names[n] for n in plan.frees[node.nid]))
     split = -(-points // _CHUNK)  # the point chunks
     if len(chunks) == split:  # no row node: one row chunk takes the root from the point chunks
         chunks.append([])
@@ -872,7 +870,7 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> tuple:
     run, live, args = [], [], (tuple(ids), tuple(consts))
     for c, lines in enumerate(chunks):
         head = ["def run(E,K,L,A,B,P,I,C):"] + (
-            [",".join(live) + ",=L;L.clear()"] if live else [])
+            [",".join(live) + ",=L"] if live else [])
         live = [w for w in live + [line.split("=", 1)[0] for line in lines if line[0] == "w"]
                 if last.get(w, -1) > c]
         tail = f"return [{','.join(live)}]" if c < len(chunks) - 1 else f"return {names[root.nid]}"
@@ -882,7 +880,7 @@ def _generated(root: Expr, plan: _Plan, stacked: bool) -> tuple:
         if code is None:
             if len(_codes) >= 1024:  # about 15 KB each: forget the oldest
                 _codes.pop(next(iter(_codes)), None)
-            code = _codes[key] = _compile(source)
+            code = _codes[key] = _compile(source).replace(co_filename=f"<plan {key.hex()[:12]}>")
         run.append(FunctionType(code, _KERNELS, "run", args))
     plan.code[stacked] = run[:split], run[split:]
     return plan.code[stacked]
@@ -921,13 +919,14 @@ def _point_values(env: Mapping[str, np.ndarray], bound: Mapping[str, np.ndarray]
     return arrays, values
 
 
-def _point(root: Expr, env: Mapping, bound: Mapping | None, stacked: bool) -> list:
-    """Root's point chunks, run under the caller's errstate on the calling thread's store of
-    root's program (:func:`_point_values`) and point buffers: the values its row chunks take."""
-    plan, store, live = _planned(root), _program(root).point, []
+def _point(root: Expr, plan: _Plan, env: Mapping, bound: Mapping | None, stacked: bool) -> list:
+    """Root's point chunks of its ``plan``, run under the caller's errstate on the calling
+    thread's store (:func:`_point_values`) and point buffers: the values its row chunks take."""
+    store, live = _program(root).point, []
     arrays, kept = _point_values(env, bound, store)
+    buffers = vars(store).setdefault("buffers", {})
     for run in (plan.code[stacked] or _generated(root, plan, stacked))[0]:
-        live = run(arrays, kept, live, None, 0, vars(store).setdefault("buffers", {}))
+        live = run(arrays, kept, live, None, 0, buffers)
     return live
 
 
@@ -935,7 +934,7 @@ def _run(root: Expr, env: Mapping[str, np.ndarray],
          bound: Mapping[str, np.ndarray] | None = None, stacked: bool = False,
          arena: np.ndarray | None = None, points: list | None = None) -> np.ndarray:
     """Evaluate the graph ``root`` by its plan's row chunks from ``points``,
-    root's :func:`_point` values, which they take, by default made here at
+    root's :func:`_point` values, which they read, by default made here at
     env's point and root's ``bound`` arrays.  Env's direction leaves are
     plain or, when ``stacked``, stacks of rows, which only :func:`_rows`
     passes.  Slotted values go into ``arena``, of the plan's extent times
@@ -945,7 +944,7 @@ def _run(root: Expr, env: Mapping[str, np.ndarray],
     rows = next((len(v) for k, v in env.items() if _is_direction(k)), 0) if stacked else 1
     arena = np.empty(rows * plan.extent) if arena is None else arena
     with np.errstate(all="ignore"):
-        live = _point(root, env, bound, stacked) if points is None else points
+        live = _point(root, plan, env, bound, stacked) if points is None else points
         for run in plan.code[stacked][1]:  # generated by _point at the latest
             live = run(env, None, live, arena, rows, None)
     return live
@@ -1214,7 +1213,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     the stacks'.  The rows form one group on ``expr`` or, at a grain of
     ``FOLD_GRAIN`` or more, the groups of :func:`_folds`; each runs in
     sweeps of at most its plan's width rows, each in an arena of the plan's
-    extent per row, from a copy of its graph's :func:`_point` values, into
+    extent per row, from its graph's one list of :func:`_point` values, into
     the result, on one or two lanes (see the module docstring).  A row
     counts as one pass of depth ``backward``, or one forward when None."""
     pshape = np.shape(env[PARAM]) if PARAM in env else np.shape(dirs[0])[1:] if dirs else ()
@@ -1227,13 +1226,13 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
     if single:
         stacks = [u[None] for u in stacks]
     rows = len(stacks[0]) if stacks else 1
-    out, sweeps = np.empty((rows,) + expr.shape), []
+    out, sweeps, plans = np.empty((rows,) + expr.shape), [], {}  # plans of graphs with sweeps
     groups = stacks and _planned(expr).grain >= FOLD_GRAIN and _folds(expr, stacks)
     for graph, index, parts in groups or [(expr, np.arange(rows), stacks)]:
         plan = _planned(graph)
         width = 1 if single else plan.width
         for lo in range(0, len(index), width):
-            n = min(width, len(index) - lo)
+            n, plans[graph] = min(width, len(index) - lo), plan
             if backward is None:
                 counter.add(forward=n)
             else:
@@ -1242,7 +1241,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
                 **env, **{_dir_name(k): u[lo] if single else u[lo:lo + n]
                           for k, u in enumerate(parts, start=1)}}))
     with np.errstate(all="ignore"):
-        points = {g: _point(g, env, bound, not single) for g in dict.fromkeys(s[1] for s in sweeps)}
+        points = {g: _point(g, plan, env, bound, not single) for g, plan in plans.items()}
     jobs, lock = collections.deque(sorted(sweeps, key=lambda sweep: sweep[0])), threading.Lock()
 
     def drain(arena: np.ndarray, left: bool = False) -> None:
@@ -1254,7 +1253,7 @@ def _rows(expr: Expr, env: dict, bound: Mapping[str, np.ndarray] | None,
                     if not jobs or left and jobs[0][0] > arena.size:
                         return
                     _, graph, index, leaves = jobs.popleft() if left else jobs.pop()
-                out[index] = _run(graph, leaves, None, not single, arena, list(points[graph]))
+                out[index] = _run(graph, leaves, None, not single, arena, points[graph])
         except BaseException:
             with lock:
                 jobs.clear()

@@ -224,3 +224,19 @@ def test_a_full_code_cache_forgets_its_oldest_and_still_runs_every_plan(monkeypa
     assert calls() == want
     assert len(engine._codes) == 1024
     assert [key for key in full if key in engine._codes] == list(full)[compiled:]
+
+
+def test_generated_chunks_free_nothing_and_are_named_by_their_digest(monkeypatch):
+    sources, compile_source = [], engine._compile
+    monkeypatch.setattr(engine, "_codes", {})
+    monkeypatch.setattr(engine, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    f, theta0 = make_mlp(MlpSpec((2, 8, 8, 8, 2), seed=2), synth_dataset("moons", 100, seed=0))
+    graph = engine._derivative(f, theta0.values, 1, True)[0]  # the HVP graph
+    plan = engine._planned(graph)
+    for stacked in (False, True):
+        names = [run.__code__.co_filename for chunks in engine._generated(graph, plan, stacked)
+                 for run in chunks]
+        assert len(set(names)) == len(names) > 2  # each chunk of the plan named apart
+        assert all(re.fullmatch(r"<plan [0-9a-f]{12}>", name) for name in names)
+    assert sources and not any(re.search(r"\bdel\b|\.clear\(", source) for source in sources)

@@ -131,6 +131,23 @@ def test_stencil_points_above_the_grain_are_bitwise_one_lane(monkeypatch, wide):
     assert used2 == used1 == PassCounts(forward=3 + 2 * 3)
 
 
+def test_both_lanes_read_one_point_list_per_graph(monkeypatch, wide):
+    f, theta, _ = wide
+    stencil = theta + 1e-3 * np.random.default_rng(11).normal(size=(3, theta.size))
+    handed, run = [], engine._run
+
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
+        handed.append((root, points, len(points)))
+        return run(root, env, bound, stacked, arena, points)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    _, workers = _lanes(monkeypatch, f, lambda: evaluate_points(f, stencil))
+    assert True in workers and False in workers  # one graph's sweeps on both lanes
+    assert len(handed) == 3 and len({id(root) for root, _, _ in handed}) == 1
+    points = handed[0][1]
+    assert all(p is points and n == len(points) > 0 for _, p, n in handed)  # one list, unchanged
+
+
 def test_no_pass_runs_on_an_empty_stack(monkeypatch, wide):
     f, theta, part = wide
     rows, run = [], engine._run

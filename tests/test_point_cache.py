@@ -91,6 +91,22 @@ def test_each_point_only_value_is_looked_up_once_per_call(monkeypatch):
     assert rows.tobytes() == gradient_of_nested(f, theta, [stack]).tobytes()
 
 
+def test_every_sweep_of_a_graph_reads_its_one_point_list(monkeypatch):
+    f, theta0, part = _moons()
+    handed, run = [], engine._run
+
+    def spy(root, env, bound=None, stacked=False, arena=None, points=None):
+        handed.append((root, points, len(points)))
+        return run(root, env, bound, stacked, arena, points)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    u = np.random.default_rng(8).normal(size=theta0.size)
+    summary_tensor(f, theta0, u, part, 3)  # one order-2 graph in 4 sweeps
+    assert len(handed) == 4 and len({id(root) for root, _, _ in handed}) == 1
+    points = handed[0][1]
+    assert all(p is points and n == len(points) > 0 for _, p, n in handed)  # one list, unchanged
+
+
 def test_returned_arrays_do_not_alias_stored_values():
     f, theta0, part = _moons()
     theta = theta0.values

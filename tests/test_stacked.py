@@ -207,7 +207,7 @@ def test_direction_stacks_must_agree():
 
 def _held_and_peak(expr):
     """Direction-dependent elements of one row of ``expr``, and the most of
-    them alive at once when each is dropped after its last consumer."""
+    them live at once under ``plan.frees``, the liveness the arena is packed by."""
     plan = engine._planned(expr)
     frees, nodes = plan.frees, [*plan.order, engine._unbind(expr)[0]]  # the root comes last
     size, alive, peak = {}, 0, 0
